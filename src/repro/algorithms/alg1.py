@@ -48,6 +48,29 @@ from .grid import ProcessorGrid
 __all__ = ["Alg1Result", "run_alg1"]
 
 
+def _extent(n: int, parts: int, index: int) -> int:
+    lo, hi = block_bounds(n, parts, index)
+    return hi - lo
+
+
+def _store_gathered(machine, grid, axis, gathered, key, block_shape) -> None:
+    """Concatenate every rank's gathered chunks into its ``key`` block.
+
+    All members of an ``axis`` fiber gather the same chunks into a block
+    of the same shape, ``block_shape(coord)``.  Symbolic blocks are
+    immutable, so one concatenation per fiber serves all its members;
+    data blocks are concatenated per rank, so every rank owns its copy.
+    """
+    for fiber in grid.fibers(axis):
+        shape = block_shape(grid.coord(fiber[0]))
+        block = None
+        for rank in fiber:
+            if type(block) is not SymbolicBlock:
+                flat = np.concatenate([as_block(ch).reshape(-1) for ch in gathered[rank]])
+                block = flat.reshape(shape)
+            machine.proc(rank).store[key] = block
+
+
 @dataclasses.dataclass
 class Alg1Result:
     """Everything measured from one Algorithm 1 execution.
@@ -172,12 +195,8 @@ def run_alg1(
             )
         else:
             gathered = {r: [machine.proc(r).store["A_shard"]] for r in range(grid.size)}
-        for rank in range(grid.size):
-            c1, c2, _ = grid.coord(rank)
-            r0, r1 = block_bounds(n1, p1, c1)
-            c0, c1b = block_bounds(n2, p2, c2)
-            flat = np.concatenate([as_block(ch).reshape(-1) for ch in gathered[rank]])
-            machine.proc(rank).store["A_block"] = flat.reshape(r1 - r0, c1b - c0)
+        _store_gathered(machine, grid, 3, gathered, "A_block", lambda c: (
+            _extent(n1, p1, c[0]), _extent(n2, p2, c[1])))
     phase_words["allgather_a"] = span_a.cost.words
 
     # ---- Line 4: All-Gather B blocks along p1-fibers ------------------- #
@@ -189,12 +208,8 @@ def run_alg1(
             )
         else:
             gathered = {r: [machine.proc(r).store["B_shard"]] for r in range(grid.size)}
-        for rank in range(grid.size):
-            _, c2, c3 = grid.coord(rank)
-            r0, r1 = block_bounds(n2, p2, c2)
-            c0, c1b = block_bounds(n3, p3, c3)
-            flat = np.concatenate([as_block(ch).reshape(-1) for ch in gathered[rank]])
-            machine.proc(rank).store["B_block"] = flat.reshape(r1 - r0, c1b - c0)
+        _store_gathered(machine, grid, 1, gathered, "B_block", lambda c: (
+            _extent(n2, p2, c[1]), _extent(n3, p3, c[2])))
     phase_words["allgather_b"] = span_b.cost.words
 
     # ---- Line 6: local computation D = A_block @ B_block --------------- #
@@ -231,12 +246,13 @@ def run_alg1(
                 if type(d_flat) is SymbolicBlock:
                     # Symbolic blocks are immutable value objects: every
                     # rank with the same flat size shards into the same
-                    # descriptors, so slice once per size, not per rank.
+                    # descriptors, so slice once per size, not per rank,
+                    # and share the (read-only) list.
                     shards = shard_cache.get(d_flat.size)
                     if shards is None:
                         shards = [d_flat[lo:hi] for lo, hi in bounds]
                         shard_cache[d_flat.size] = shards
-                    blocks[rank] = list(shards)
+                    blocks[rank] = shards
                 else:
                     blocks[rank] = [d_flat[lo:hi] for lo, hi in bounds]
             if final_phase == "reduce_scatter":

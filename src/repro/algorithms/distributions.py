@@ -28,7 +28,7 @@ import numpy as np
 
 from ..core.shapes import ProblemShape
 from ..exceptions import DistributionError
-from ..machine.backend import as_block, empty_block
+from ..machine.backend import SymbolicBlock, as_block, empty_block
 from ..machine.machine import Machine
 from .grid import ProcessorGrid
 
@@ -138,6 +138,9 @@ def distribute_inputs(
     This is the algorithm's *assumed initial distribution* — the lower
     bound allows the algorithm to pick it (Section 5) — so no
     communication is charged.  Returns the problem shape.
+
+    With symbolic operands every distinct shard descriptor is built once
+    per (block shape, shard index) and shared by the ranks that hold it.
     """
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise DistributionError(
@@ -155,6 +158,11 @@ def distribute_inputs(
             f"machine has {machine.n_procs} processors but grid {grid} needs {grid.size}"
         )
 
+    if type(A) is SymbolicBlock and type(B) is SymbolicBlock:
+        _distribute_symbolic(machine, grid, shape)
+        machine.trace.record("distribute", f"inputs onto grid {grid}")
+        return shape
+
     for rank in range(grid.size):
         c1, c2, c3 = grid.coord(rank)
         a_block = block_of(A, (grid.p1, grid.p2), (c1, c2)).reshape(-1)
@@ -167,6 +175,30 @@ def distribute_inputs(
 
     machine.trace.record("distribute", f"inputs onto grid {grid}")
     return shape
+
+
+def _distribute_symbolic(machine: Machine, grid: ProcessorGrid, shape: ProblemShape) -> None:
+    """:func:`distribute_inputs` for symbolic operands: shapes only."""
+    extents = [
+        [hi - lo for lo, hi in (block_bounds(n, parts, c) for c in range(parts))]
+        for n, parts in zip(shape.dims, grid.dims)
+    ]
+    cache: Dict[Tuple[int, int, int, int], SymbolicBlock] = {}
+
+    def shard(rows: int, cols: int, parts: int, index: int) -> SymbolicBlock:
+        key = (rows, cols, parts, index)
+        block = cache.get(key)
+        if block is None:
+            lo, hi = shard_bounds(rows * cols, parts, index)
+            block = cache[key] = SymbolicBlock((hi - lo,))
+        return block
+
+    e1, e2, e3 = extents
+    for rank in range(grid.size):
+        c1, c2, c3 = grid.coord(rank)
+        store = machine.proc(rank).store
+        store["A_shard"] = shard(e1[c1], e2[c2], grid.p3, c3)
+        store["B_shard"] = shard(e2[c2], e3[c3], grid.p1, c1)
 
 
 def assemble_c(

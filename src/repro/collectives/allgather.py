@@ -181,13 +181,21 @@ def allgather_schedule(
     ``"auto"`` (recursive doubling when the group size is a power of two —
     fewer rounds at identical bandwidth — otherwise ring).
     """
-    p = len(tuple(group))
+    schedule = _SCHEDULES[resolve_allgather_algorithm(algorithm, len(tuple(group)))]
+    return schedule(group, chunks, tag=tag)
+
+
+_SCHEDULES = {
+    "ring": allgather_ring,
+    "recursive_doubling": allgather_recursive_doubling,
+    "bruck": allgather_bruck,
+}
+
+
+def resolve_allgather_algorithm(algorithm: str, p: int) -> str:
+    """The concrete All-Gather algorithm ``algorithm`` names for ``p`` members."""
     if algorithm == "auto":
-        algorithm = "recursive_doubling" if is_power_of_two(p) else "ring"
-    if algorithm == "ring":
-        return allgather_ring(group, chunks, tag=tag)
-    if algorithm == "recursive_doubling":
-        return allgather_recursive_doubling(group, chunks, tag=tag)
-    if algorithm == "bruck":
-        return allgather_bruck(group, chunks, tag=tag)
-    raise CommunicatorError(f"unknown allgather algorithm {algorithm!r}")
+        return "recursive_doubling" if is_power_of_two(p) else "ring"
+    if algorithm not in _SCHEDULES:
+        raise CommunicatorError(f"unknown allgather algorithm {algorithm!r}")
+    return algorithm

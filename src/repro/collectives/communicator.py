@@ -23,6 +23,7 @@ from ..machine.machine import Machine
 from .allgather import allgather_schedule
 from .allreduce import allreduce_schedule
 from .alltoall import alltoall_schedule
+from .array_rounds import replay_allgather, replay_reduce_scatter
 from .barrier import barrier_dissemination
 from .broadcast import broadcast_schedule
 from .gather import gather_schedule
@@ -235,6 +236,11 @@ class Communicator:
 # ---------------------------------------------------------------------- #
 
 
+def _measure(machine: Machine, groups: Sequence[Sequence[int]], kind: str, label: str):
+    """The event span attributing one parallel collective's exact cost."""
+    return machine.trace.measure(label, kind, groups=tuple(tuple(g) for g in groups))
+
+
 def _run_parallel(
     machine: Machine,
     schedules: List[Schedule],
@@ -242,11 +248,8 @@ def _run_parallel(
     kind: str,
     label: str,
 ) -> List[Any]:
-    with machine.trace.measure(
-        label, kind, groups=tuple(tuple(g) for g in groups)
-    ):
-        results = run_schedules(machine, schedules)
-    return results
+    with _measure(machine, groups, kind, label):
+        return run_schedules(machine, schedules)
 
 
 def parallel_allgather(
@@ -262,7 +265,15 @@ def parallel_allgather(
     result maps every rank to the list of its group's chunks.  This is how
     Algorithm 1 runs the All-Gather of, say, ``A`` across all ``p1*p2``
     fibers ``(p1', p2', :)`` *simultaneously*, as a real SPMD program would.
+
+    With symbolic chunks on a fault-free machine the schedules are
+    replayed as array rounds (:mod:`repro.collectives.array_rounds`), with
+    identical counts; the members of a group then share one result list.
     """
+    replay = replay_allgather(machine, groups, chunks, algorithm)
+    if replay is not None:
+        with _measure(machine, groups, "allgather", label):
+            return replay.run(machine)
     schedules = [
         allgather_schedule(g, {r: chunks[r] for r in g}, algorithm=algorithm) for g in groups
     ]
@@ -281,7 +292,16 @@ def parallel_reduce_scatter(
     label: str = "",
     op="sum",
 ) -> Dict[int, np.ndarray]:
-    """Reduce-Scatter over several disjoint groups in merged rounds."""
+    """Reduce-Scatter over several disjoint groups in merged rounds.
+
+    With symbolic blocks on a fault-free machine the schedules are
+    replayed as array rounds (:mod:`repro.collectives.array_rounds`), with
+    identical counts.
+    """
+    replay = replay_reduce_scatter(machine, groups, blocks, algorithm, op)
+    if replay is not None:
+        with _measure(machine, groups, "reduce-scatter", _reduce_label(label, op)):
+            return replay.run(machine)
     schedules = [
         reduce_scatter_schedule(
             g, {r: blocks[r] for r in g}, machine=machine, algorithm=algorithm, op=op

@@ -171,11 +171,20 @@ def reduce_scatter_schedule(
     op="sum",
 ) -> Schedule:
     """Dispatch to a concrete Reduce-Scatter algorithm (see module doc)."""
-    p = len(tuple(group))
+    schedule = _SCHEDULES[resolve_reduce_scatter_algorithm(algorithm, len(tuple(group)))]
+    return schedule(group, blocks, machine=machine, tag=tag, op=op)
+
+
+_SCHEDULES = {
+    "ring": reduce_scatter_ring,
+    "recursive_halving": reduce_scatter_recursive_halving,
+}
+
+
+def resolve_reduce_scatter_algorithm(algorithm: str, p: int) -> str:
+    """The concrete Reduce-Scatter algorithm ``algorithm`` names for ``p`` members."""
     if algorithm == "auto":
-        algorithm = "recursive_halving" if is_power_of_two(p) else "ring"
-    if algorithm == "ring":
-        return reduce_scatter_ring(group, blocks, machine=machine, tag=tag, op=op)
-    if algorithm == "recursive_halving":
-        return reduce_scatter_recursive_halving(group, blocks, machine=machine, tag=tag, op=op)
-    raise CommunicatorError(f"unknown reduce_scatter algorithm {algorithm!r}")
+        return "recursive_halving" if is_power_of_two(p) else "ring"
+    if algorithm not in _SCHEDULES:
+        raise CommunicatorError(f"unknown reduce_scatter algorithm {algorithm!r}")
+    return algorithm

@@ -21,13 +21,26 @@ messages obeying the one-send/one-receive rule.  Executing a round
 
 Collectives (see :mod:`repro.collectives`) are built purely out of rounds,
 so their measured cost is exactly what the paper's analysis predicts.
+
+:meth:`FullyConnectedNetwork.execute_array_rounds` is the same round
+semantics for payload-free replays (symbolic blocks on a fault-free
+machine): each round is three int arrays ``(src, dest, words)``, validated
+with two ``np.bincount`` calls and charged to the same counters.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
-from ..exceptions import FaultDetectedError, NetworkContentionError, RankFailedError
+import numpy as np
+
+from ..exceptions import (
+    FaultDetectedError,
+    InvalidMessageError,
+    NetworkContentionError,
+    RankFailedError,
+    ReproError,
+)
 from .cost import Cost
 from .message import Message
 
@@ -45,6 +58,18 @@ class RoundSummary:
         self.max_words = max((m.words for m in messages), default=0)
         self.total_words = sum(m.words for m in messages)
         self.tags = tuple(sorted({m.tag for m in messages if m.tag}))
+
+    @classmethod
+    def of_counts(
+        cls, index: int, n_messages: int, max_words: int, total_words: int, tag: str
+    ) -> "RoundSummary":
+        """A summary of a round known only by its counts (array rounds)."""
+        summary = cls(index, ())
+        summary.n_messages = n_messages
+        summary.max_words = max_words
+        summary.total_words = total_words
+        summary.tags = (tag,) if tag else ()
+        return summary
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -88,9 +113,24 @@ class FullyConnectedNetwork:
         self.sent_messages: List[int] = [0] * self.n_procs
         self.recv_messages: List[int] = [0] * self.n_procs
         self.round_log: List[RoundSummary] = []
-        #: Cumulative words per directed (src, dest) link — the traffic
-        #: matrix, used by :mod:`repro.analysis.traffic`.
-        self.edge_words: Dict[tuple, float] = {}
+        self._edge_words: Dict[tuple, float] = {}
+        # Array rounds' traffic, as (first-seen-ordered link keys
+        # src * P + dest, words) array pairs folded into the dict on read.
+        self._pending_edges: List[Tuple[np.ndarray, np.ndarray]] = []
+
+    @property
+    def edge_words(self) -> Dict[tuple, float]:
+        """Cumulative words per directed ``(src, dest)`` link — the traffic
+        matrix, used by :mod:`repro.analysis.traffic`."""
+        if self._pending_edges:
+            edges = self._edge_words
+            n = self.n_procs
+            for keys, words in self._pending_edges:
+                for key, w in zip(keys.tolist(), words.tolist()):
+                    link = divmod(key, n)
+                    edges[link] = edges.get(link, 0.0) + w
+            self._pending_edges = []
+        return self._edge_words
 
     @property
     def cost(self) -> Cost:
@@ -163,15 +203,142 @@ class FullyConnectedNetwork:
         self.round_log.append(RoundSummary(self.rounds, msgs))
 
         deliveries: Dict[int, Any] = {}
+        edges = self.edge_words
         for msg in msgs:
             self.sent_words[msg.src] += msg.words
             self.recv_words[msg.dest] += msg.words
             self.sent_messages[msg.src] += 1
             self.recv_messages[msg.dest] += 1
             key = (msg.src, msg.dest)
-            self.edge_words[key] = self.edge_words.get(key, 0.0) + msg.words
+            edges[key] = edges.get(key, 0.0) + msg.words
             deliveries[msg.dest] = msg.payload
         return deliveries
+
+    def execute_array_rounds(
+        self,
+        rounds: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        tag: str = "",
+    ) -> None:
+        """Execute consecutive payload-free rounds given as int arrays.
+
+        Each round is ``(src, dest, words)``: message ``k`` of the round
+        moves ``words[k]`` words from rank ``src[k]`` to rank ``dest[k]``.
+        The rules and charges are those of :meth:`execute_round` on the
+        equivalent :class:`~repro.machine.message.Message` list (zero-word
+        messages allowed, as with ``empty_ok=True``): an empty round is
+        free, and each other round costs one round and its largest message
+        on the critical path, and appends one :class:`RoundSummary` tagged
+        ``tag``.  Per-rank counters are summed in numpy across the rounds
+        and folded into the counter lists once, also when a round fails
+        validation after earlier ones were charged.  Nothing is delivered.
+
+        Raises
+        ------
+        InvalidMessageError
+            On a self-send, a negative rank or a negative word count, as
+            :class:`~repro.machine.message.Message` construction would.
+        NetworkContentionError
+            On a rank outside ``0..P-1`` or two sends or two receives at
+            one rank within a round, as :meth:`execute_round` would.
+        ReproError
+            When a fault injector is attached: faulted rounds need real
+            messages and take :meth:`execute_round`.
+        """
+        if self.fault_injector is not None:
+            raise ReproError(
+                "array rounds cannot run with a fault injector attached; "
+                "faulted rounds must be executed message by message"
+            )
+        n = self.n_procs
+        sent = np.zeros(n)
+        recv = np.zeros(n)
+        sent_msgs = np.zeros(n, dtype=np.int64)
+        recv_msgs = np.zeros(n, dtype=np.int64)
+        edge_keys: List[np.ndarray] = []
+        edge_vals: List[np.ndarray] = []
+        try:
+            for src, dest, words in rounds:
+                if len(src) == 0:
+                    continue
+                src, dest, words = (
+                    np.asarray(a, dtype=np.int64) for a in (src, dest, words)
+                )
+                self._validate_array_round(src, dest, words)
+                src_counts = np.bincount(src, minlength=n)
+                dest_counts = np.bincount(dest, minlength=n)
+                if src_counts.max() > 1 or dest_counts.max() > 1:
+                    self._raise_contention(src, dest, src_counts, dest_counts)
+                max_words = int(words.max())
+                total = int(words.sum())
+                self.rounds += 1
+                self.critical_words += max_words
+                self.total_words += total
+                self.round_log.append(
+                    RoundSummary.of_counts(self.rounds, len(src), max_words, total, tag)
+                )
+                sent += np.bincount(src, weights=words, minlength=n)
+                recv += np.bincount(dest, weights=words, minlength=n)
+                sent_msgs += src_counts
+                recv_msgs += dest_counts
+                edge_keys.append(src * n + dest)
+                edge_vals.append(words)
+        finally:
+            self._fold_array_counters(sent, recv, sent_msgs, recv_msgs, edge_keys, edge_vals)
+
+    def _validate_array_round(self, src, dest, words) -> None:
+        if not len(src) == len(dest) == len(words):
+            raise ValueError(
+                f"array round needs equal-length src/dest/words, got "
+                f"{len(src)}/{len(dest)}/{len(words)}"
+            )
+        same = src == dest
+        if same.any():
+            raise InvalidMessageError(
+                f"processor {int(src[same.argmax()])} cannot send a message to itself"
+            )
+        if min(int(src.min()), int(dest.min())) < 0:
+            raise InvalidMessageError(
+                f"ranks must be non-negative, got a round with ranks down to "
+                f"{min(int(src.min()), int(dest.min()))}"
+            )
+        if int(words.min()) < 0:
+            raise InvalidMessageError(
+                f"word counts must be non-negative, got {int(words.min())}"
+            )
+        top = max(int(src.max()), int(dest.max()))
+        if top >= self.n_procs:
+            raise NetworkContentionError(
+                f"array round references rank {top}, outside 0..{self.n_procs - 1}"
+            )
+
+    @staticmethod
+    def _raise_contention(src, dest, src_counts, dest_counts) -> None:
+        if src_counts.max() > 1:
+            rank = int(src_counts.argmax())
+            raise NetworkContentionError(
+                f"processor {rank} attempts two sends in one round "
+                f"(to {dest[src == rank].tolist()})"
+            )
+        rank = int(dest_counts.argmax())
+        raise NetworkContentionError(
+            f"processor {rank} attempts two receives in one round "
+            f"(from {src[dest == rank].tolist()})"
+        )
+
+    def _fold_array_counters(self, sent, recv, sent_msgs, recv_msgs, edge_keys, edge_vals) -> None:
+        if not edge_keys:
+            return
+        # Words are whole numbers far below 2**53, so every float sum here
+        # is exact and equals the message path's per-message additions.
+        self.sent_words[:] = (np.asarray(self.sent_words) + sent).tolist()
+        self.recv_words[:] = (np.asarray(self.recv_words) + recv).tolist()
+        self.sent_messages[:] = (np.asarray(self.sent_messages, dtype=np.int64) + sent_msgs).tolist()
+        self.recv_messages[:] = (np.asarray(self.recv_messages, dtype=np.int64) + recv_msgs).tolist()
+        keys = np.concatenate(edge_keys)
+        links, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        totals = np.bincount(inverse, weights=np.concatenate(edge_vals))
+        order = np.argsort(first, kind="stable")
+        self._pending_edges.append((links[order], totals[order]))
 
     # ------------------------------------------------------------------ #
     # fault injection (see repro.machine.faults)                         #
@@ -192,8 +359,9 @@ class FullyConnectedNetwork:
         self.recv_words[msg.dest] += msg.words
         self.sent_messages[msg.src] += 1
         self.recv_messages[msg.dest] += 1
+        edges = self.edge_words
         key = (msg.src, msg.dest)
-        self.edge_words[key] = self.edge_words.get(key, 0.0) + msg.words
+        edges[key] = edges.get(key, 0.0) + msg.words
 
     def _latency_rounds(self, count: int) -> None:
         """Charge ``count`` rounds of pure latency (backoff / stall)."""

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import NetworkContentionError
+from repro.exceptions import InvalidMessageError, NetworkContentionError, ReproError
+from repro.machine.faults import FaultInjector, FaultModel
 from repro.machine.message import Message
 from repro.machine.network import FullyConnectedNetwork
 
@@ -103,6 +104,105 @@ class TestCounters:
         deliveries = net.execute_round([Message(src=0, dest=1, payload=src_arr)])
         src_arr[:] = 7.0
         assert np.all(deliveries[1] == 1.0)
+
+
+def array_round(*triples):
+    """``(src, dest, words)`` int arrays of the messages ``triples``."""
+    src, dest, words = zip(*triples) if triples else ((), (), ())
+    return tuple(np.array(a, dtype=np.int64) for a in (src, dest, words))
+
+
+class TestArrayRounds:
+    """``execute_array_rounds`` keeps ``execute_round``'s rules and charges."""
+
+    def test_two_sends_rejected_like_execute_round(self):
+        with pytest.raises(NetworkContentionError, match="two sends"):
+            FullyConnectedNetwork(3).execute_round([msg(0, 1, 1), msg(0, 2, 1)])
+        with pytest.raises(NetworkContentionError, match="two sends"):
+            FullyConnectedNetwork(3).execute_array_rounds([array_round((0, 1, 1), (0, 2, 1))])
+
+    def test_two_receives_rejected_like_execute_round(self):
+        with pytest.raises(NetworkContentionError, match="two receives"):
+            FullyConnectedNetwork(3).execute_round([msg(0, 2, 1), msg(1, 2, 1)])
+        with pytest.raises(NetworkContentionError, match="two receives"):
+            FullyConnectedNetwork(3).execute_array_rounds([array_round((0, 2, 1), (1, 2, 1))])
+
+    def test_out_of_range_rank_rejected_like_execute_round(self):
+        with pytest.raises(NetworkContentionError, match="outside"):
+            FullyConnectedNetwork(2).execute_round([msg(0, 5, 1)])
+        with pytest.raises(NetworkContentionError, match="outside"):
+            FullyConnectedNetwork(2).execute_array_rounds([array_round((0, 5, 1))])
+
+    def test_self_send_rejected_like_a_message(self):
+        with pytest.raises(InvalidMessageError, match="itself"):
+            FullyConnectedNetwork(2).execute_round([msg(1, 1, 1)])
+        with pytest.raises(InvalidMessageError, match="itself"):
+            FullyConnectedNetwork(2).execute_array_rounds([array_round((1, 1, 1))])
+
+    def test_negative_rank_rejected_like_a_message(self):
+        with pytest.raises(InvalidMessageError, match="non-negative"):
+            FullyConnectedNetwork(2).execute_array_rounds([array_round((-1, 1, 1))])
+
+    def test_empty_round_is_free(self):
+        net = FullyConnectedNetwork(4)
+        net.execute_array_rounds([array_round(), array_round()])
+        assert net.rounds == 0
+        assert net.critical_words == 0.0
+        assert net.total_words == 0.0
+        assert net.round_log == []
+        assert net.sent_words == [0.0] * 4
+        assert net.sent_messages == [0] * 4
+        assert net.edge_words == {}
+
+    def test_fault_injector_refused(self):
+        net = FullyConnectedNetwork(2)
+        net.fault_injector = FaultInjector(FaultModel())
+        with pytest.raises(ReproError, match="fault injector"):
+            net.execute_array_rounds([array_round((0, 1, 1))])
+        assert net.rounds == 0
+
+    def test_charges_equal_execute_round(self):
+        rounds = [
+            [(0, 1, 3), (1, 2, 0), (2, 0, 7)],
+            [(3, 0, 5), (0, 3, 5)],
+            [(0, 1, 2), (1, 0, 4)],
+        ]
+        msg_net, arr_net = FullyConnectedNetwork(4), FullyConnectedNetwork(4)
+        for triples in rounds:
+            msg_net.execute_round([
+                Message(src=s, dest=d, payload=np.zeros(w), tag="x", empty_ok=True)
+                for s, d, w in triples
+            ])
+        arr_net.execute_array_rounds([array_round(*t) for t in rounds], tag="x")
+        for field in ("rounds", "critical_words", "total_words", "sent_words",
+                      "recv_words", "sent_messages", "recv_messages", "edge_words"):
+            assert getattr(arr_net, field) == getattr(msg_net, field), field
+        assert [vars_of(s) for s in arr_net.round_log] == [
+            vars_of(s) for s in msg_net.round_log
+        ]
+
+    def test_failed_round_keeps_earlier_rounds_charged(self):
+        net = FullyConnectedNetwork(3)
+        with pytest.raises(NetworkContentionError):
+            net.execute_array_rounds([
+                array_round((0, 1, 4)),
+                array_round((0, 1, 1), (0, 2, 1)),
+            ])
+        assert net.rounds == 1
+        assert net.critical_words == 4.0
+        assert net.sent_words == [4.0, 0.0, 0.0]
+        assert net.edge_words == {(0, 1): 4.0}
+
+    def test_reset_drops_pending_traffic(self):
+        net = FullyConnectedNetwork(2)
+        net.execute_array_rounds([array_round((0, 1, 4))])
+        net.reset()
+        assert net.edge_words == {}
+
+
+def vars_of(summary):
+    return (summary.index, summary.n_messages, summary.max_words,
+            summary.total_words, summary.tags)
 
 
 class TestConstruction:
