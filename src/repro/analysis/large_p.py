@@ -207,28 +207,3 @@ def run_large_p_sweep(
             for result in results:
                 ledger.append(RunRecord.from_sweep(result.record, label=label))
     return results
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:  # pragma: no cover
-    """Print the large-P attainment table (used by the CI smoke job).
-
-    Accepts ``--workers N`` to fan the points out over a process pool.
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(prog="repro.analysis.large_p")
-    parser.add_argument("--workers", type=int, default=1)
-    args = parser.parse_args(argv)
-    results = run_large_p_sweep(workers=args.workers)
-    print("case  shape                 P       grid              "
-          "constant  words/bound   wall")
-    for r in results:
-        shape = "x".join(str(d) for d in r.point.shape.dims)
-        print(f"{r.point.case:<5} {shape:<21} {r.point.P:<7} "
-              f"{r.record.config:<17} {r.constant:<9g} {r.ratio:<13.9f} "
-              f"{r.wall_clock:6.1f}s")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,95 +1,22 @@
 """Command-line interface: ``python -m repro <command> ...``.
 
-Gives downstream users the paper's results without writing any code:
+Each subcommand declares its arguments next to its handler in
+:func:`build_parser`; ``repro <command> --help`` documents them.  What
+the parsers do not show:
 
-``bounds N1 N2 N3 --procs P [--memory M]``
-    Theorem 3 (and, with ``--memory``, the Section 6.2 comparison).
-``grid N1 N2 N3 --procs P``
-    The Section 5.2 optimal processor grid and expression (3) cost.
-``run N1 N2 N3 --procs P [--seed S] [--trace T.json] [--metrics M.jsonl]``
-    Execute Algorithm 1 on the simulated machine and report measured
-    cost versus the bound, with bound-attainment gauges; optionally
-    export a Chrome-trace timeline (``--trace``) and JSON-lines
-    span/metric records (``--metrics``).  With ``--oracle`` the cost is
-    evaluated from the closed-form analytic oracle instead of simulating
-    — same numbers (:func:`repro.analysis.verification.cross_check_oracle`
-    proves exact equality), milliseconds at any P.
-``inspect FILE.jsonl``
-    Pretty-print a recorded trace: span (phase) tree, per-rank counter
-    table (with the words-sent skew gauge), attainment summary, metrics
-    digest.
-``bench [--label L] [--compare] [--write-baseline] [--filter S]``
-    Run every ``benchmarks/bench_*.py`` harness plus the standard sweep
-    grid, write ``BENCH_<label>.json`` at the repository root, append run
-    records to the experiment ledger, and optionally gate against a
-    committed baseline (exact on model costs, ±20% on wall-clock).
-``chaos [--algorithms A,B] [--schedules S,T] [--seeds N] [--json PATH]``
-    Chaos-test registered algorithms under seeded fault schedules across
-    one (shape, P) point per Theorem 3 case, asserting the fault-layer
-    trichotomy: recovered with accounted cost, typed detection, or
-    fail-stop — never silent corruption.  Exit 1 on any violation.
-``sweep [--shapes N1xN2xN3,...] [--procs P,Q] [--workers N]``
-    Run the generic parameter sweep over registered algorithms and print
-    one row per (algorithm, shape, P) measurement; optionally append to
-    the experiment ledger.
-``large-p [--workers N]``
-    The production-scale attainment sweep: Algorithm 1 on the symbolic
-    backend at P up to 10^5, one point per Theorem 3 case, asserting the
-    bound is attained with the tight constant.
-``plan N1 N2 N3 --procs P,Q,... [--memory M] [--atlas PATH]``
-    The oracle-backed capacity planner: score every registry algorithm
-    through the vectorized oracle at each processor count, print the
-    cheapest admissible choice with its Theorem 3 bound attainment and
-    (with ``--memory``) the Section 6.2 memory-dependent crossover.
-    ``--atlas`` additionally writes the case-1/2/3 planner atlases
-    (``P`` up to ``--atlas-limit``, default 10^7) as one JSON file.
-``profile DRIVER [--top N] [--collapsed PATH]``
-    Run a representative DRIVER workload (sweep / chaos / large-p /
-    bench) under cProfile — in every pool worker, merged across
-    processes — and print the top-N hotspot table; ``--collapsed``
-    writes flamegraph-ready folded stacks.
-``ledger list | show N | diff N M | trajectory METRIC``
-    Read the persistent experiment ledger back: the run history, one full
-    record, or a field-by-field comparison of two records.  ``diff``
-    warns (stderr, exit 0) when exactly one side measured a fault-injected
-    execution; ``--allow-faulty`` silences the warning.
-
-    Exit codes follow the usual Unix split — 0 for success, 1 for a
-    detected failure, 2 for usage errors — and ``ledger diff``
-    specifically exits **0** when the comparison ran (differing fields
-    and the fault warning are still success: a diff that finds
-    differences did its job) and **2** on usage errors (unreadable
-    ledger, out-of-range index, mixed backends without
-    ``--allow-mixed``).  It never exits 1: a diff has no "failure"
-    verdict of its own.  ``tests/test_cli.py`` pins this contract.
-
-    ``trajectory METRIC [--algorithm A] [--case C]`` prints one tracked
-    metric's time-ordered history, one block per (algorithm, backend,
-    Theorem-3 case, shape) series.
-``trend [--check] [--metric M] [--window N]``
-    Aggregate the ledger and every ``BENCH_*.json`` into per-metric
-    trajectories and run the rolling-median regression detector
-    (:mod:`repro.obs.analytics`): typed verdicts improved / flat /
-    regressed per (series, metric, stream).  ``--check`` exits 1 on any
-    regression (``--advisory`` reports but keeps exit 0); without it the
-    command always exits 0.
-``dashboard [--out PATH]``
-    Write the self-contained HTML observability dashboard — trend
-    verdicts, trajectory sparklines, Theorem-3 attainment heatmap,
-    words-sent skew bars, worker-utilization timeline and profile
-    hotspots — as one static file with inline data that opens from
-    ``file://`` with zero external requests.
-``table1 | fig1 | fig2 | lemma2 | crossover``
-    Print a reproduction artifact (same output as the benchmark
-    harnesses' standalone mode).
-
-The driver commands (``sweep`` / ``chaos`` / ``bench`` / ``large-p``)
-share an observability flag group — ``--telemetry`` / ``--trace-out`` /
-``--telemetry-out`` / ``--profile`` / ``--profile-out`` / ``--progress``
-— that records host-process stage spans, per-worker task spans and
-cProfile hotspots (see docs/OBSERVABILITY.md).  All of it is opt-in and
-zero-cost when off: model costs, results and ledger bytes are identical
-with or without it.
+* Exit codes follow the Unix split: 0 for success, 1 for a detected
+  failure (a violated claim, a failed verification, a regression under
+  ``trend --check``), 2 for a usage error.  :func:`main` is the one
+  boundary: a :class:`~repro.exceptions.ReproError` or :class:`OSError`
+  escaping a handler prints one stderr line and exits 2.
+* ``ledger diff`` exits 0 whenever the comparison ran (differing fields
+  and the fault-injection warning are still success) and 2 on usage
+  errors.  It never exits 1: a diff has no failure verdict of its own.
+  ``tests/test_cli.py`` pins this contract.
+* The driver observability group (``sweep`` / ``chaos`` / ``bench`` /
+  ``large-p``) is built and reported by :func:`main`.  It costs nothing
+  when off: model costs, results and ledger bytes are identical with or
+  without it (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -99,6 +26,8 @@ import sys
 from typing import List, Optional
 
 import numpy as np
+
+from .exceptions import ReproError
 
 __all__ = ["main", "build_parser"]
 
@@ -112,6 +41,48 @@ DEFAULT_SWEEP_PROCS = "4,16"
 #: :data:`repro.obs.analytics.METRICS` (kept literal so building the
 #: parser stays import-light).
 TREND_METRICS = ("wall_clock", "words", "attainment", "skew_ratio")
+
+
+class UsageError(ReproError):
+    """Command-line input that parsed but that the command cannot use."""
+
+
+def _split(text: str) -> List[str]:
+    """The non-empty items of a comma-separated list."""
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _parse_shapes(text: str):
+    """Parse ``"16x16x16,32x8x4"`` into ProblemShape objects."""
+    from .core import ProblemShape
+
+    shapes = []
+    for part in _split(text):
+        dims = part.lower().split("x")
+        if len(dims) != 3 or not all(d.strip().isdigit() for d in dims):
+            raise UsageError(f"shape {part!r} is not of the form N1xN2xN3")
+        shapes.append(ProblemShape(*(int(d) for d in dims)))
+    if not shapes:
+        raise UsageError("no shapes given")
+    return shapes
+
+
+def _parse_procs(text: str) -> List[int]:
+    """Parse ``"4,16"`` into positive processor counts."""
+    try:
+        procs = [int(p) for p in _split(text)]
+    except ValueError as exc:
+        raise UsageError(f"bad --procs: {exc}") from None
+    if not procs or min(procs) < 1:
+        raise UsageError(f"--procs needs positive processor counts, "
+                         f"got {text!r}")
+    return procs
+
+
+def _ledger_arg(path: str):
+    from .obs.ledger import Ledger
+
+    return Ledger(path)
 
 
 def _add_observability_flags(p: argparse.ArgumentParser) -> None:
@@ -129,7 +100,7 @@ def _add_observability_flags(p: argparse.ArgumentParser) -> None:
                         "(implies --telemetry)")
     g.add_argument("--profile", action="store_true",
                    help="run every task under cProfile (parent and pool "
-                        "workers) and print the merged top-N hotspot table")
+                        "workers) and print the merged top-15 hotspot table")
     g.add_argument("--profile-out", metavar="PATH", default=None,
                    help="write the merged profile as collapsed stacks for "
                         "flamegraph.pl / speedscope (implies --profile)")
@@ -138,75 +109,55 @@ def _add_observability_flags(p: argparse.ArgumentParser) -> None:
                         "to stderr")
 
 
-def _build_observability(args: argparse.Namespace, driver: str, total: int = 0):
-    """(telemetry, profile, progress) sinks for a driver command's flags."""
-    from .obs.profile import ProfileCollector
-    from .obs.telemetry import ProgressReporter, Telemetry
-
-    want_telemetry = args.telemetry or args.trace_out or args.telemetry_out
-    telemetry = Telemetry(driver) if want_telemetry else None
-    profile = ProfileCollector() if (args.profile or args.profile_out) else None
-    progress = ProgressReporter(total, label=driver) if args.progress else None
-    return telemetry, profile, progress
+def _add_workers(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="process-pool width (default 1 = serial); results "
+                        "are bit-identical for any N")
 
 
-def _report_observability(
-    args: argparse.Namespace, telemetry, profile, progress=None, top: int = 15
-) -> int:
-    """Print digests and write the requested exports; 0 ok, 2 on I/O error."""
-    from .obs.exporters import export_telemetry_chrome, export_telemetry_jsonl
-    from .obs.profile import write_collapsed
-
-    if progress is not None:
-        # Guaranteed final heartbeat: drivers that built the reporter
-        # with an unknown total (0) would otherwise end in silence.
-        progress.finish()
-    try:
-        if telemetry is not None:
-            print(telemetry.render())
-            if args.trace_out:
-                n = export_telemetry_chrome(telemetry, args.trace_out)
-                print(f"wrote merged Chrome trace ({n} events) to "
-                      f"{args.trace_out}")
-            if args.telemetry_out:
-                n = export_telemetry_jsonl(telemetry, args.telemetry_out)
-                print(f"wrote {n} telemetry records to {args.telemetry_out}")
-        if profile is not None:
-            print(profile.render(top=top))
-            if args.profile_out:
-                n = write_collapsed(profile.stats(), args.profile_out)
-                print(f"wrote {n} collapsed stacks to {args.profile_out}")
-    except OSError as exc:
-        print(f"cannot write observability output: {exc}", file=sys.stderr)
-        return 2
-    return 0
+def _add_ledger(p: argparse.ArgumentParser, label: str) -> None:
+    p.add_argument("--ledger", metavar="PATH", default=None, type=_ledger_arg,
+                   help="append records to this experiment ledger")
+    p.add_argument("--label", default=label,
+                   help=f"ledger record label (default {label!r})")
 
 
-def _parse_shapes(text: str):
-    """Parse ``"16x16x16,32x8x4"`` into ProblemShape objects."""
-    from .core import ProblemShape
-
-    shapes = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        dims = part.lower().split("x")
-        if len(dims) != 3:
-            raise ValueError(
-                f"shape {part!r} is not of the form N1xN2xN3"
-            )
-        shapes.append(ProblemShape(*(int(d) for d in dims)))
-    if not shapes:
-        raise ValueError("no shapes given")
-    return shapes
+def _add_algorithms(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--algorithms", default=None, metavar="A,B,...",
+                   help="comma-separated registry names (default: every "
+                        "registered algorithm that applies)")
 
 
-def _parse_ints(text: str) -> List[int]:
-    out = [int(p) for p in text.split(",") if p.strip()]
-    if not out:
-        raise ValueError("no values given")
-    return out
+def _add_backend(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--backend", choices=["data", "symbolic"], default="data",
+                   help="execution backend: 'data' moves real numpy blocks "
+                        "and verifies the numerics; 'symbolic' moves shape "
+                        "descriptors only (identical cost accounting) and "
+                        "scales to production-sized P")
+
+
+def _add_sources(p: argparse.ArgumentParser) -> None:
+    """The ``trend``/``dashboard`` artifact sources, read by :func:`_sources`."""
+    p.add_argument("--ledger", metavar="PATH", default=None,
+                   help="ledger file (default: repro_ledger.jsonl at the "
+                        "repository root)")
+    p.add_argument("--bench", metavar="PATH", action="append", default=None,
+                   help="BENCH_*.json report to include (repeatable; "
+                        "default: every BENCH_*.json at the repository root)")
+    p.add_argument("--no-bench", action="store_true",
+                   help="ignore BENCH files")
+    p.add_argument("--include-faulty", action="store_true",
+                   help="include fault-injected ledger records (their model "
+                        "costs include recovery resends)")
+    p.add_argument("--window", type=int, default=None, metavar="N",
+                   help="trailing rolling-median window "
+                        "(default 3; needs N+1 samples to judge)")
+
+
+def _add_dims(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n1", type=int, help="rows of A")
+    p.add_argument("n2", type=int, help="columns of A / rows of B")
+    p.add_argument("n3", type=int, help="columns of B")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,28 +171,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_shape(p: argparse.ArgumentParser) -> None:
-        p.add_argument("n1", type=int, help="rows of A")
-        p.add_argument("n2", type=int, help="columns of A / rows of B")
-        p.add_argument("n3", type=int, help="columns of B")
+        _add_dims(p)
         p.add_argument("--procs", "-p", type=int, required=True, help="processor count P")
 
     p_bounds = sub.add_parser("bounds", help="evaluate Theorem 3 for a problem")
+    p_bounds.set_defaults(handler=_cmd_bounds)
     add_shape(p_bounds)
     p_bounds.add_argument("--memory", "-m", type=float, default=None,
                           help="local memory M (words) for the Section 6.2 comparison")
 
     p_grid = sub.add_parser("grid", help="select the Section 5.2 optimal grid")
+    p_grid.set_defaults(handler=_cmd_grid)
     add_shape(p_grid)
 
     p_run = sub.add_parser("run", help="execute Algorithm 1 on the simulator")
+    p_run.set_defaults(handler=_cmd_run)
     add_shape(p_run)
     p_run.add_argument("--seed", type=int, default=0, help="operand RNG seed")
-    p_run.add_argument("--backend", choices=["data", "symbolic"], default="data",
-                       help="execution backend: 'data' moves real numpy "
-                            "blocks and verifies C = A @ B; 'symbolic' moves "
-                            "shape descriptors only (identical cost "
-                            "accounting, no numerical check) and scales to "
-                            "production-sized P")
+    _add_backend(p_run)
     p_run.add_argument("--memory", "-m", type=float, default=None,
                        help="per-processor memory limit M (words); also "
                             "enables the memory-dependent attainment gauge")
@@ -265,6 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect = sub.add_parser(
         "inspect", help="pretty-print a recorded JSON-lines trace"
     )
+    p_inspect.set_defaults(handler=_cmd_inspect)
     p_inspect.add_argument(
         "path", help=".jsonl file written by 'run --metrics'"
     )
@@ -274,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the benchmark suite, write BENCH_<label>.json, "
              "optionally gate against a baseline",
     )
+    p_bench.set_defaults(handler=_cmd_bench)
     p_bench.add_argument("--label", default="local",
                          help="run label; names the BENCH_<label>.json output")
     p_bench.add_argument("--filter", default=None, metavar="SUBSTR",
@@ -301,16 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--wallclock-advisory", action="store_true",
                          help="report wall-clock regressions as warnings "
                               "instead of failures (cross-machine baselines)")
-    p_bench.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="process-pool width for harnesses and sweep "
-                              "points (default 1 = serial; model costs are "
-                              "bit-identical for any N)")
+    _add_workers(p_bench)
     _add_observability_flags(p_bench)
 
     p_sweep = sub.add_parser(
         "sweep",
         help="run the generic parameter sweep over registered algorithms",
     )
+    p_sweep.set_defaults(handler=_cmd_sweep)
     p_sweep.add_argument("--shapes", default=DEFAULT_SWEEP_SHAPES,
                          metavar="N1xN2xN3,...",
                          help=f"comma-separated problem shapes "
@@ -319,13 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="P,Q,...",
                          help=f"comma-separated processor counts "
                               f"(default {DEFAULT_SWEEP_PROCS})")
-    p_sweep.add_argument("--algorithms", default=None, metavar="A,B,...",
-                         help="comma-separated registry names "
-                              "(default: every applicable algorithm)")
-    p_sweep.add_argument("--backend", choices=["data", "symbolic"],
-                         default="data",
-                         help="execution backend (symbolic scales to "
-                              "production-sized P)")
+    _add_algorithms(p_sweep)
+    _add_backend(p_sweep)
     p_sweep.add_argument("--engine", choices=["simulate", "oracle"],
                          default="simulate",
                          help="'simulate' runs the machine model; 'oracle' "
@@ -334,13 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0,
                          help="operand RNG seed (per-shape streams are "
                               "derived from (seed, shape_index))")
-    p_sweep.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="process-pool width (default 1 = serial; "
-                              "records are bit-identical for any N)")
-    p_sweep.add_argument("--ledger", metavar="PATH", default=None,
-                         help="append records to this experiment ledger")
-    p_sweep.add_argument("--label", default="sweep",
-                         help="ledger record label (default 'sweep')")
+    _add_workers(p_sweep)
+    _add_ledger(p_sweep, "sweep")
     p_sweep.add_argument("--semiring", choices=["plus_times", "min_plus"],
                          default=None,
                          help="thread this semiring to every run (default: "
@@ -353,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(Fox-Otto distance products with per-squaring Theorem 3 "
              "gauges)",
     )
+    p_apsp.set_defaults(handler=_cmd_apsp)
     p_apsp.add_argument("--n", type=int, required=True,
                         help="number of graph vertices (the distance matrix "
                              "is n x n)")
@@ -375,15 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="production-scale attainment sweep (symbolic backend, "
              "P up to 10^5)",
     )
-    p_large.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="process-pool width (default 1 = serial)")
+    p_large.set_defaults(handler=_cmd_large_p)
+    _add_workers(p_large)
     p_large.add_argument("--tight-tol", type=float, default=1e-9,
                          metavar="TOL",
                          help="relative attainment tolerance (default 1e-9)")
-    p_large.add_argument("--ledger", metavar="PATH", default=None,
-                         help="append records to this experiment ledger")
-    p_large.add_argument("--label", default="large-p",
-                         help="ledger record label (default 'large-p')")
+    _add_ledger(p_large, "large-p")
     _add_observability_flags(p_large)
 
     p_plan = sub.add_parser(
@@ -391,9 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="oracle-backed capacity planner: cheapest registry "
              "algorithm per (shape, P[, M]) query",
     )
-    p_plan.add_argument("n1", type=int, help="rows of A")
-    p_plan.add_argument("n2", type=int, help="columns of A / rows of B")
-    p_plan.add_argument("n3", type=int, help="columns of B")
+    p_plan.set_defaults(handler=_cmd_plan)
+    _add_dims(p_plan)
     p_plan.add_argument("--procs", "-p", required=True, metavar="P1,P2,...",
                         help="comma-separated processor counts to plan for")
     p_plan.add_argument("--memory", "-m", type=float, default=None,
@@ -412,57 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="P",
                         help="largest processor count in the atlas "
                              "(default 10^7)")
-    p_plan.add_argument("--ledger", metavar="PATH", default=None,
-                        help="append one planner record per query to this "
-                             "experiment ledger")
-    p_plan.add_argument("--label", default="plan",
-                        help="ledger record label (default 'plan')")
-
-    p_profile = sub.add_parser(
-        "profile",
-        help="profile a driver workload under cProfile (merged across "
-             "pool workers) and print the hotspot table",
-    )
-    p_profile.add_argument("driver",
-                           choices=["sweep", "chaos", "large-p", "bench"],
-                           help="which driver workload to profile")
-    p_profile.add_argument("--workers", type=int, default=1, metavar="N",
-                           help="process-pool width; workers profile "
-                                "themselves and ship stats back (default 1)")
-    p_profile.add_argument("--top", type=int, default=15, metavar="N",
-                           help="rows in the hotspot table (default 15)")
-    p_profile.add_argument("--collapsed", metavar="PATH", default=None,
-                           help="also write flamegraph-ready collapsed "
-                                "stacks to PATH")
+    _add_ledger(p_plan, "plan")
 
     p_chaos = sub.add_parser(
         "chaos",
         help="chaos-test registered algorithms under seeded fault "
              "schedules; exit 1 on any quadchotomy violation",
     )
-    p_chaos.add_argument("--algorithms", default=None, metavar="A,B,...",
-                         help="comma-separated registry names "
-                              "(default: every registered algorithm)")
+    p_chaos.set_defaults(handler=_cmd_chaos)
+    _add_algorithms(p_chaos)
     p_chaos.add_argument("--schedules", default=None, metavar="S,T,...",
                          help="comma-separated fault schedule names "
                               "(default: all; see docs/ROBUSTNESS.md)")
     p_chaos.add_argument("--seeds", type=int, default=4, metavar="N",
                          help="fault seeds 0..N-1 per schedule (default 4)")
-    p_chaos.add_argument("--backend", choices=["data", "symbolic"],
-                         default="data",
-                         help="execution backend; 'data' additionally "
-                              "verifies recovered numerics bit-for-bit")
+    _add_backend(p_chaos)
     p_chaos.add_argument("--json", metavar="PATH", default=None,
                          help="write the full chaos report as JSON")
-    p_chaos.add_argument("--ledger", metavar="PATH", default=None,
-                         help="append completed runs as kind='chaos' "
-                              "records to this experiment ledger")
-    p_chaos.add_argument("--label", default="chaos",
-                         help="ledger record label (default 'chaos')")
-    p_chaos.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="process-pool width for the chaos matrix "
-                              "(default 1 = serial; outcomes are identical "
-                              "for any N)")
+    _add_ledger(p_chaos, "chaos")
+    _add_workers(p_chaos)
     p_chaos.add_argument("--recover", action="store_true",
                          help="also run the survivable rank-death "
                               "schedules (RecoveryConfig opted in): ABFT "
@@ -476,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
              "algorithm and state the recovery overhead against the "
              "Theorem 3 bound; exit 1 unless every cell reconstructs",
     )
-    p_survive.add_argument("--algorithms", default=None, metavar="A,B,...",
-                           help="comma-separated registry names "
-                                "(default: every registered algorithm)")
+    p_survive.set_defaults(handler=_cmd_survive)
+    _add_algorithms(p_survive)
     p_survive.add_argument("--seed", type=int, default=0,
                            help="fault-model seed (default 0)")
     p_survive.add_argument("--rank", type=int, default=1,
@@ -490,13 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="spare",
                            help="recovery strategy: revive the slot from a "
                                 "spare (default) or shrink onto survivors")
-    p_survive.add_argument("--backend", choices=["data", "symbolic"],
-                           default="data",
-                           help="execution backend; 'data' additionally "
-                                "verifies reconstructed numerics")
-    p_survive.add_argument("--workers", type=int, default=1, metavar="N",
-                           help="process-pool width (default 1 = serial); "
-                                "rows are bit-identical for any value")
+    _add_backend(p_survive)
+    _add_workers(p_survive)
     p_survive.add_argument("--json", metavar="PATH", default=None,
                            help="write the survivability report as JSON")
 
@@ -504,11 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
         "ledger", help="read the persistent experiment ledger"
     )
     lsub = p_ledger.add_subparsers(dest="ledger_command", required=True)
-    common = {"default": None, "metavar": "PATH",
-              "help": "ledger file (default: repro_ledger.jsonl at the "
-                      "repository root)"}
     l_list = lsub.add_parser("list", help="tabulate recorded runs")
-    l_list.add_argument("--path", **common)
+    l_list.set_defaults(handler=_cmd_ledger_list)
     l_list.add_argument("--algorithm", default=None,
                         help="only records for this algorithm")
     l_list.add_argument("--label", default=None,
@@ -516,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     l_list.add_argument("--limit", type=int, default=None, metavar="N",
                         help="show only the last N matching records")
     l_show = lsub.add_parser("show", help="print one record in full")
+    l_show.set_defaults(handler=_cmd_ledger_show)
     l_show.add_argument("index", type=int,
                         help="record index from 'ledger list' (negative "
                              "counts from the end)")
-    l_show.add_argument("--path", **common)
     l_diff = lsub.add_parser("diff", help="compare two records field by field")
+    l_diff.set_defaults(handler=_cmd_ledger_diff)
     l_diff.add_argument("index_a", type=int, help="first record index")
     l_diff.add_argument("index_b", type=int, help="second record index")
-    l_diff.add_argument("--path", **common)
     l_diff.add_argument("--allow-mixed", action="store_true",
                         help="permit comparing records from different "
                              "execution backends or semirings (wall-clock, "
@@ -539,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
         "trajectory",
         help="print one metric's time-ordered history per configuration",
     )
+    l_traj.set_defaults(handler=_cmd_ledger_trajectory)
     l_traj.add_argument("metric", choices=list(TREND_METRICS),
                         help="which tracked metric to tabulate")
-    l_traj.add_argument("--path", **common)
     l_traj.add_argument("--algorithm", default=None,
                         help="only series for this algorithm")
     l_traj.add_argument("--case", default=None, choices=["1D", "2D", "3D"],
@@ -549,21 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
     l_traj.add_argument("--include-faulty", action="store_true",
                         help="include fault-injected records (their model "
                              "costs include recovery resends)")
+    for l_parser in (l_list, l_show, l_diff, l_traj):
+        l_parser.add_argument("--path", default=None, metavar="PATH",
+                              help="ledger file (default: repro_ledger.jsonl "
+                                   "at the repository root)")
 
     p_trend = sub.add_parser(
         "trend",
         help="rolling-median trend verdicts over the ledger and BENCH files",
     )
-    p_trend.add_argument("--ledger", metavar="PATH", default=None,
-                         help="ledger file (default: repro_ledger.jsonl at "
-                              "the repository root)")
-    p_trend.add_argument("--bench", metavar="PATH", action="append",
-                         default=None,
-                         help="BENCH_*.json report to include (repeatable; "
-                              "default: every BENCH_*.json at the "
-                              "repository root)")
-    p_trend.add_argument("--no-bench", action="store_true",
-                         help="trend the ledger only, ignore BENCH files")
+    p_trend.set_defaults(handler=_cmd_trend)
+    _add_sources(p_trend)
     p_trend.add_argument("--metric", action="append", default=None,
                          choices=list(TREND_METRICS),
                          help="only these metrics (repeatable; default all)")
@@ -571,15 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="only series for this algorithm")
     p_trend.add_argument("--case", default=None, choices=["1D", "2D", "3D"],
                          help="only series in this Theorem-3 case")
-    p_trend.add_argument("--window", type=int, default=None, metavar="N",
-                         help="trailing rolling-median window "
-                              "(default 3; needs N+1 samples to judge)")
     p_trend.add_argument("--tolerance", type=float, default=None,
                          metavar="FRAC",
                          help="override the wall-clock relative tolerance "
                               "(default 0.20; model metrics stay exact)")
-    p_trend.add_argument("--include-faulty", action="store_true",
-                         help="include fault-injected ledger records")
     p_trend.add_argument("--all", action="store_true",
                          help="list every trajectory, including flat ones")
     p_trend.add_argument("--json", action="store_true",
@@ -595,36 +479,28 @@ def build_parser() -> argparse.ArgumentParser:
         "dashboard",
         help="write the self-contained HTML observability dashboard",
     )
+    p_dash.set_defaults(handler=_cmd_dashboard)
     p_dash.add_argument("--out", metavar="PATH", default=None,
                         help="output HTML file (default: dashboard.html "
                              "at the repository root)")
-    p_dash.add_argument("--ledger", metavar="PATH", default=None,
-                        help="ledger file (default: repro_ledger.jsonl at "
-                             "the repository root)")
-    p_dash.add_argument("--bench", metavar="PATH", action="append",
-                        default=None,
-                        help="BENCH_*.json report to include (repeatable; "
-                             "default: every BENCH_*.json at the "
-                             "repository root)")
-    p_dash.add_argument("--no-bench", action="store_true",
-                        help="ignore BENCH files")
+    _add_sources(p_dash)
     p_dash.add_argument("--telemetry", metavar="PATH", default=None,
                         help="driver-telemetry JSONL export (default: "
                              "artifacts/telemetry_sweep.jsonl when present)")
     p_dash.add_argument("--profile", metavar="PATH", default=None,
                         help="collapsed-stack profile (default: "
                              "artifacts/hotspots_sweep.folded when present)")
-    p_dash.add_argument("--window", type=int, default=None, metavar="N",
-                        help="trend rolling-median window (default 3)")
     p_dash.add_argument("--top", type=int, default=15, metavar="N",
                         help="hotspot table depth (default 15)")
-    p_dash.add_argument("--include-faulty", action="store_true",
-                        help="include fault-injected ledger records")
 
     for name in ("table1", "fig1", "fig2", "lemma2", "crossover"):
-        sub.add_parser(name, help=f"print the {name} reproduction artifact")
+        sub.add_parser(
+            name, help=f"print the {name} reproduction artifact"
+        ).set_defaults(handler=_cmd_artifact)
 
-    sub.add_parser("report", help="run the quick end-to-end reproduction checks")
+    sub.add_parser(
+        "report", help="run the quick end-to-end reproduction checks"
+    ).set_defaults(handler=_cmd_report)
 
     return parser
 
@@ -682,10 +558,8 @@ def _cmd_run_oracle(args: argparse.Namespace) -> int:
     from .exceptions import OracleUnsupportedError
 
     if args.trace or args.metrics or args.memory is not None:
-        print("--oracle evaluates a closed form; no machine exists to "
-              "trace, export metrics from, or bound memory on",
-              file=sys.stderr)
-        return 2
+        raise UsageError("--oracle evaluates a closed form; no machine exists "
+                         "to trace, export metrics from, or bound memory on")
     shape = ProblemShape(args.n1, args.n2, args.n3)
     try:
         pred = predict_cost("alg1", shape, args.procs)
@@ -771,8 +645,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
             print(f"wrote {n} JSON-lines records to {args.metrics}")
     except OSError as exc:
-        print(f"cannot write export: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot write export: {exc}") from None
     return 0 if ok is not False else 1
 
 
@@ -782,12 +655,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     try:
         records = read_jsonl(args.path)
     except OSError as exc:
-        print(f"cannot read trace file: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read trace file: {exc}") from None
     except ValueError as exc:
-        print(f"not a JSON-lines trace (expected the 'run --metrics' "
-              f"format): {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"not a JSON-lines trace (expected the "
+                         f"'run --metrics' format): {exc}") from None
     print(inspect_report(records))
     return 0
 
@@ -804,34 +675,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out_dir = args.output if args.output else repo_root()
     ledger = None
     if not args.no_ledger:
-        ledger_path = args.ledger or os.path.join(out_dir, "repro_ledger.jsonl")
-        ledger = Ledger(ledger_path)
-    if args.workers < 0:
-        print(f"--workers must be >= 0, got {args.workers}", file=sys.stderr)
-        return 2
-    telemetry, profile, progress = _build_observability(args, "bench")
+        ledger = Ledger(args.ledger or os.path.join(out_dir, "repro_ledger.jsonl"))
     try:
         report = run_bench_suite(
             args.label, filter=args.filter, ledger=ledger,
-            workers=args.workers,
-            telemetry=telemetry, profile=profile, progress=progress,
+            workers=args.workers, **args.obs,
         )
     except VerificationError as exc:
         print(f"bench aborted (reproduction claim violated): {exc}",
               file=sys.stderr)
         return 1
-    code = _report_observability(args, telemetry, profile, progress)
-    if code:
-        return code
     if not report.entries:
-        print(f"no bench entries matched filter {args.filter!r}",
-              file=sys.stderr)
-        return 2
-    try:
-        path = report.write(out_dir)
-    except OSError as exc:
-        print(f"cannot write BENCH file: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"no bench entries matched filter {args.filter!r}")
+    path = report.write(out_dir)
     print(f"wrote {len(report.entries)} entries to {path}")
     if ledger is not None:
         print(f"appended run records to {ledger.path}")
@@ -840,20 +696,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         repo_root(), "benchmarks", "baseline.json"
     )
     if args.write_baseline:
-        try:
-            with open(baseline_path, "w") as fh:
-                json.dump(report.to_dict(), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"cannot write baseline: {exc}", file=sys.stderr)
-            return 2
+        with open(baseline_path, "w") as fh:
+            json.dump(report.to_dict(), fh, indent=2)
+            fh.write("\n")
         print(f"wrote baseline to {baseline_path}")
     if args.compare:
         try:
             baseline = load_bench_report(baseline_path)
         except BaselineError as exc:
-            print(f"cannot compare: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot compare: {exc}") from None
         gate = compare_reports(
             report,
             baseline,
@@ -868,75 +719,42 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .analysis.chaos import ALL_SCHEDULES, run_chaos
-    from .obs.ledger import Ledger
 
-    algorithms = (
-        [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        if args.algorithms else None
-    )
-    schedules = (
-        [s.strip() for s in args.schedules.split(",") if s.strip()]
-        if args.schedules else None
-    )
-    if schedules:
-        unknown = [s for s in schedules if s not in ALL_SCHEDULES]
-        if unknown:
-            print(f"unknown schedule(s) {', '.join(unknown)}; known: "
-                  f"{', '.join(ALL_SCHEDULES)}", file=sys.stderr)
-            return 2
+    schedules = _split(args.schedules) if args.schedules else None
+    unknown = [s for s in schedules or () if s not in ALL_SCHEDULES]
+    if unknown:
+        raise UsageError(f"unknown schedule(s) {', '.join(unknown)}; known: "
+                         f"{', '.join(ALL_SCHEDULES)}")
     if args.seeds < 1:
-        print(f"--seeds must be >= 1, got {args.seeds}", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print(f"--workers must be >= 0, got {args.workers}", file=sys.stderr)
-        return 2
-    ledger = Ledger(args.ledger) if args.ledger else None
-    telemetry, profile, progress = _build_observability(args, "chaos")
+        raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
     report = run_chaos(
-        algorithms=algorithms,
+        algorithms=args.algorithms,
         seeds=tuple(range(args.seeds)),
         schedules=schedules,
         backend=args.backend,
-        ledger=ledger,
+        ledger=args.ledger,
         label=args.label,
         workers=args.workers,
-        telemetry=telemetry,
-        profile=profile,
-        progress=progress,
         recover=args.recover,
+        **args.obs,
     )
     print(report.render())
-    code = _report_observability(args, telemetry, profile, progress)
-    if code:
-        return code
     if args.json:
-        try:
-            report.write_json(args.json)
-        except OSError as exc:
-            print(f"cannot write chaos report: {exc}", file=sys.stderr)
-            return 2
+        report.write_json(args.json)
         print(f"wrote chaos report to {args.json}")
-    if ledger is not None:
-        print(f"appended completed runs to {ledger.path}")
+    if args.ledger is not None:
+        print(f"appended completed runs to {args.ledger.path}")
     return 0 if report.ok else 1
 
 
 def _cmd_survive(args: argparse.Namespace) -> int:
     from .analysis.survive import run_survive
 
-    algorithms = (
-        [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        if args.algorithms else None
-    )
     if args.rank < 0 or args.at_round < 0:
-        print(f"--rank and --round must be >= 0, got {args.rank} and "
-              f"{args.at_round}", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print(f"--workers must be >= 0, got {args.workers}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--rank and --round must be >= 0, got {args.rank} "
+                         f"and {args.at_round}")
     report = run_survive(
-        algorithms=algorithms,
+        algorithms=args.algorithms,
         seed=args.seed,
         failure=(args.rank, args.at_round),
         strategy=args.strategy,
@@ -945,12 +763,7 @@ def _cmd_survive(args: argparse.Namespace) -> int:
     )
     print(report.render())
     if args.json:
-        try:
-            report.write_json(args.json)
-        except OSError as exc:
-            print(f"cannot write survivability report: {exc}",
-                  file=sys.stderr)
-            return 2
+        report.write_json(args.json)
         print(f"wrote survivability report to {args.json}")
     return 0 if report.ok else 1
 
@@ -958,38 +771,22 @@ def _cmd_survive(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.sweep import sweep
     from .analysis.tables import format_table
-    from .obs.ledger import Ledger
 
-    try:
-        shapes = _parse_shapes(args.shapes)
-        procs = _parse_ints(args.procs)
-    except ValueError as exc:
-        print(f"bad sweep grid: {exc}", file=sys.stderr)
-        return 2
-    if args.workers < 0:
-        print(f"--workers must be >= 0, got {args.workers}", file=sys.stderr)
-        return 2
-    algorithms = (
-        [a.strip() for a in args.algorithms.split(",") if a.strip()]
-        if args.algorithms else None
-    )
-    ledger = Ledger(args.ledger) if args.ledger else None
-    telemetry, profile, progress = _build_observability(
-        args, "sweep", total=len(shapes)
-    )
+    shapes = _parse_shapes(args.shapes)
+    procs = _parse_procs(args.procs)
+    if args.obs["progress"] is not None:
+        args.obs["progress"].total = len(shapes)
     records = sweep(
         shapes, procs,
-        algorithms=algorithms,
+        algorithms=args.algorithms,
         seed=args.seed,
         backend=args.backend,
         engine=args.engine,
         workers=args.workers,
-        ledger=ledger,
+        ledger=args.ledger,
         label=args.label,
-        telemetry=telemetry,
-        profile=profile,
-        progress=progress,
         semiring=args.semiring,
+        **args.obs,
     )
     headers = ["algorithm", "config", "shape", "P", "words", "rounds",
                "attainment", "correct", "wall"]
@@ -1004,9 +801,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(format_table(headers, rows))
     print(f"{len(records)} records over {len(shapes)} shape(s) x "
           f"{len(procs)} processor count(s)")
-    if ledger is not None:
-        print(f"appended {len(records)} records to {ledger.path}")
-    return _report_observability(args, telemetry, profile, progress)
+    if args.ledger is not None:
+        print(f"appended {len(records)} records to {args.ledger.path}")
+    return 0
 
 
 def _cmd_apsp(args: argparse.Namespace) -> int:
@@ -1022,11 +819,9 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
             verify=not args.no_verify,
         )
     except ShapeError as exc:
-        print(f"bad apsp problem: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad apsp problem: {exc}") from None
     except KeyError as exc:
-        print(f"unknown algorithm: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown algorithm: {exc}") from None
 
     print(f"APSP n = {result.n}, P = {result.P}, "
           f"algorithm {result.algorithm}, semiring {result.semiring}, "
@@ -1055,26 +850,18 @@ def _cmd_apsp(args: argparse.Namespace) -> int:
 
 
 def _cmd_large_p(args: argparse.Namespace) -> int:
-    from .analysis.large_p import run_large_p_sweep
+    from .analysis.large_p import LARGE_P_POINTS, run_large_p_sweep
     from .exceptions import BoundViolationError
-    from .obs.ledger import Ledger
 
-    if args.workers < 0:
-        print(f"--workers must be >= 0, got {args.workers}", file=sys.stderr)
-        return 2
-    ledger = Ledger(args.ledger) if args.ledger else None
-    telemetry, profile, progress = _build_observability(
-        args, "large-p", total=3
-    )
+    if args.obs["progress"] is not None:
+        args.obs["progress"].total = len(LARGE_P_POINTS)
     try:
         results = run_large_p_sweep(
             tight_tol=args.tight_tol,
-            ledger=ledger,
+            ledger=args.ledger,
             label=args.label,
             workers=args.workers,
-            telemetry=telemetry,
-            profile=profile,
-            progress=progress,
+            **args.obs,
         )
     except BoundViolationError as exc:
         print(f"large-P sweep failed: {exc}", file=sys.stderr)
@@ -1086,9 +873,9 @@ def _cmd_large_p(args: argparse.Namespace) -> int:
         print(f"{r.point.case:<5} {shape:<21} {r.point.P:<7} "
               f"{r.record.config:<17} {r.constant:<9g} {r.ratio:<13.9f} "
               f"{r.wall_clock:6.1f}s")
-    if ledger is not None:
-        print(f"appended {len(results)} records to {ledger.path}")
-    return _report_observability(args, telemetry, profile, progress)
+    if args.ledger is not None:
+        print(f"appended {len(results)} records to {args.ledger.path}")
+    return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
@@ -1103,18 +890,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     )
     from .core import ProblemShape
     from .exceptions import ShapeError
-    from .obs.ledger import (
-        Ledger,
-        RunRecord,
-        environment_fingerprint,
-        git_revision,
-    )
+    from .obs.ledger import RunRecord, environment_fingerprint, git_revision
 
-    try:
-        procs = _parse_ints(args.procs)
-    except ValueError as exc:
-        print(f"bad --procs: {exc}", file=sys.stderr)
-        return 2
+    procs = _parse_procs(args.procs)
     shape = ProblemShape(args.n1, args.n2, args.n3)
     cache = PlanCache()
     hits = [
@@ -1169,13 +947,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             fh.write("\n")
         print(f"wrote case-1/2/3 atlas (P up to {args.atlas_limit:g}) "
               f"to {args.atlas}")
-    if args.ledger:
-        ledger = Ledger(args.ledger)
+    if args.ledger is not None:
         appended = 0
         for r, hit in zip(results, hits):
             if r.best is None:
                 continue
-            ledger.append(RunRecord(
+            args.ledger.append(RunRecord(
                 algorithm=r.best.algorithm,
                 config=r.best.config,
                 shape=tuple(r.shape.dims),
@@ -1204,57 +981,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 },
             ))
             appended += 1
-        print(f"appended {appended} planner records to {ledger.path}")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """``repro profile DRIVER``: profiled run of a representative workload."""
-    from .obs.profile import ProfileCollector, write_collapsed
-    from .obs.telemetry import Telemetry
-
-    if args.workers < 0:
-        print(f"--workers must be >= 0, got {args.workers}", file=sys.stderr)
-        return 2
-    profile = ProfileCollector()
-    telemetry = Telemetry(args.driver)
-    if args.driver == "sweep":
-        from .analysis.sweep import sweep
-
-        sweep(
-            _parse_shapes(DEFAULT_SWEEP_SHAPES),
-            _parse_ints(DEFAULT_SWEEP_PROCS),
-            workers=args.workers, telemetry=telemetry, profile=profile,
-        )
-    elif args.driver == "chaos":
-        from .analysis.chaos import run_chaos
-
-        run_chaos(
-            seeds=(0, 1), workers=args.workers,
-            telemetry=telemetry, profile=profile,
-        )
-    elif args.driver == "large-p":
-        from .analysis.large_p import run_large_p_sweep
-
-        run_large_p_sweep(
-            workers=args.workers, telemetry=telemetry, profile=profile
-        )
-    else:  # bench: the sweep-grid slice, no BENCH file or ledger writes
-        from .obs.bench import run_bench_suite
-
-        run_bench_suite(
-            "profile", filter="sweep:", ledger=None,
-            workers=args.workers, telemetry=telemetry, profile=profile,
-        )
-    print(telemetry.render())
-    print(profile.render(top=args.top))
-    if args.collapsed:
-        try:
-            n = write_collapsed(profile.stats(), args.collapsed)
-        except OSError as exc:
-            print(f"cannot write collapsed stacks: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {n} collapsed stacks to {args.collapsed}")
+        print(f"appended {appended} planner records to {args.ledger.path}")
     return 0
 
 
@@ -1266,15 +993,24 @@ def _default_ledger_path() -> str:
     return os.path.join(repo_root(), "repro_ledger.jsonl")
 
 
-def _ledger_records(path):
-    """Load ledger records for the CLI; returns (records, error_message)."""
+def _ledger_records(args: argparse.Namespace):
+    """``(path, records)`` of the ledger a ``repro ledger`` command reads."""
     from .exceptions import LedgerError
     from .obs.ledger import Ledger
 
+    path = args.path or _default_ledger_path()
     try:
-        return Ledger(path).records(), None
+        return path, Ledger(path).records()
     except LedgerError as exc:
-        return None, str(exc)
+        raise UsageError(f"cannot read ledger: {exc}") from None
+
+
+def _ledger_record(path: str, records, index: int):
+    try:
+        return records[index]
+    except IndexError:
+        raise UsageError(f"no record {index} in {path} "
+                         f"({len(records)} records)") from None
 
 
 def _format_ledger_row(index: int, rec) -> List[str]:
@@ -1294,97 +1030,59 @@ def _format_ledger_row(index: int, rec) -> List[str]:
     ]
 
 
-def _cmd_ledger(args: argparse.Namespace) -> int:
-    """Ledger subcommands: list / show / diff.
-
-    Exit-code contract (pinned by ``tests/test_cli.py``):
-
-    * **0** — the requested read or comparison completed.  For ``diff``
-      this includes records that differ and the one-sided fault-injection
-      warning path (the warning goes to stderr; finding differences *is*
-      the success case for a diff).
-    * **2** — usage errors: unreadable or missing ledger file,
-      out-of-range record index, or ``diff`` across different execution
-      backends without ``--allow-mixed``.
-    * ``diff`` never exits 1; there is no "failure" verdict distinct from
-      usage error for a field-by-field comparison.
-    """
-    path = args.path or _default_ledger_path()
-    records, error = _ledger_records(path)
-    if error is not None:
-        print(f"cannot read ledger: {error}", file=sys.stderr)
-        return 2
-
-    if args.ledger_command == "trajectory":
-        return _cmd_ledger_trajectory(args, path, records)
-
-    if args.ledger_command == "list":
-        if args.algorithm is not None:
-            matching = [
-                (i, r) for i, r in enumerate(records)
-                if r.algorithm == args.algorithm
-            ]
-        else:
-            matching = list(enumerate(records))
-        if args.label is not None:
-            matching = [(i, r) for i, r in matching if r.label == args.label]
-        if args.limit is not None:
-            matching = matching[-args.limit:]
-        if not matching:
-            print(f"no matching records in {path}")
-            return 0
-        headers = ["#", "when", "label", "kind", "algorithm", "shape", "P",
-                   "words", "attainment", "wall", "git"]
-        rows = [_format_ledger_row(i, r) for i, r in matching]
-        widths = [max(len(headers[c]), *(len(row[c]) for row in rows))
-                  for c in range(len(headers))]
-        print(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-        print("-+-".join("-" * w for w in widths))
-        for row in rows:
-            print(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+def _cmd_ledger_list(args: argparse.Namespace) -> int:
+    path, records = _ledger_records(args)
+    matching = [
+        (i, r) for i, r in enumerate(records)
+        if (args.algorithm is None or r.algorithm == args.algorithm)
+        and (args.label is None or r.label == args.label)
+    ]
+    if args.limit is not None:
+        matching = matching[-args.limit:]
+    if not matching:
+        print(f"no matching records in {path}")
         return 0
+    headers = ["#", "when", "label", "kind", "algorithm", "shape", "P",
+               "words", "attainment", "wall", "git"]
+    rows = [_format_ledger_row(i, r) for i, r in matching]
+    widths = [max(len(headers[c]), *(len(row[c]) for row in rows))
+              for c in range(len(headers))]
+    print(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
+    print("-+-".join("-" * w for w in widths))
+    for row in rows:
+        print(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return 0
 
-    def fetch(index: int):
-        try:
-            return records[index]
-        except IndexError:
-            print(f"no record {index} in {path} ({len(records)} records)",
-                  file=sys.stderr)
-            return None
 
-    if args.ledger_command == "show":
-        rec = fetch(args.index)
-        if rec is None:
-            return 2
-        import json
+def _cmd_ledger_show(args: argparse.Namespace) -> int:
+    import json
 
-        print(json.dumps(rec.to_dict(), indent=2))
-        return 0
+    path, records = _ledger_records(args)
+    print(json.dumps(_ledger_record(path, records, args.index).to_dict(),
+                     indent=2))
+    return 0
 
-    # diff
-    rec_a, rec_b = fetch(args.index_a), fetch(args.index_b)
-    if rec_a is None or rec_b is None:
-        return 2
+
+def _cmd_ledger_diff(args: argparse.Namespace) -> int:
+    path, records = _ledger_records(args)
+    rec_a = _ledger_record(path, records, args.index_a)
+    rec_b = _ledger_record(path, records, args.index_b)
     if rec_a.backend != rec_b.backend and not args.allow_mixed:
-        print(
+        raise UsageError(
             f"refusing to diff records from different backends "
             f"({rec_a.backend!r} vs {rec_b.backend!r}): wall-clock and "
             f"numerical verification are not comparable across backends. "
             f"Model costs are identical by construction — pass "
-            f"--allow-mixed to compare them anyway.",
-            file=sys.stderr,
+            f"--allow-mixed to compare them anyway."
         )
-        return 2
     if rec_a.semiring != rec_b.semiring and not args.allow_mixed:
-        print(
+        raise UsageError(
             f"refusing to diff records from different semirings "
             f"({rec_a.semiring!r} vs {rec_b.semiring!r}): the products are "
             f"different mathematical objects. Model costs are "
             f"semiring-independent by construction — pass --allow-mixed "
-            f"to compare them anyway.",
-            file=sys.stderr,
+            f"to compare them anyway."
         )
-        return 2
     if rec_a.fault_injected != rec_b.fault_injected and not args.allow_faulty:
         faulty = args.index_a if rec_a.fault_injected else args.index_b
         print(
@@ -1414,7 +1112,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ledger_trajectory(args: argparse.Namespace, path, records) -> int:
+def _cmd_ledger_trajectory(args: argparse.Namespace) -> int:
     """``repro ledger trajectory METRIC``: per-series time-ordered table.
 
     Exits 0 even when nothing matches (an empty history is a valid,
@@ -1424,6 +1122,7 @@ def _cmd_ledger_trajectory(args: argparse.Namespace, path, records) -> int:
 
     from .obs.analytics import TrajectoryStore
 
+    path, records = _ledger_records(args)
     store = TrajectoryStore(include_faulty=args.include_faulty)
     skipped = 0
     for rec in records:
@@ -1457,6 +1156,34 @@ def _cmd_ledger_trajectory(args: argparse.Namespace, path, records) -> int:
     return 0
 
 
+def _sources(args: argparse.Namespace):
+    """``(ledger path or None, BENCH paths, window)`` for trend/dashboard.
+
+    Explicit ``--bench`` files must exist; the defaulted ledger and
+    BENCH discovery may come up empty.
+    """
+    import os
+
+    from .obs.analytics import DEFAULT_WINDOW, discover_bench_files
+
+    window = DEFAULT_WINDOW if args.window is None else args.window
+    if window < 1:
+        raise UsageError(f"--window must be >= 1, got {window}")
+    if args.no_bench:
+        bench_paths = []
+    elif args.bench is None:
+        bench_paths = discover_bench_files()
+    else:
+        missing = [p for p in args.bench if not os.path.exists(p)]
+        if missing:
+            raise UsageError(f"no such BENCH file: {', '.join(missing)}")
+        bench_paths = args.bench
+    ledger_path = args.ledger or _default_ledger_path()
+    if not os.path.exists(ledger_path):
+        ledger_path = None
+    return ledger_path, bench_paths, window
+
+
 def _cmd_trend(args: argparse.Namespace) -> int:
     """``repro trend``: rolling-median verdicts over ledger + BENCH files.
 
@@ -1468,38 +1195,18 @@ def _cmd_trend(args: argparse.Namespace) -> int:
     * **1** — ``--check`` and at least one trajectory regressed.
     * **2** — usage errors: malformed ledger or BENCH file, bad window.
     """
-    import os
-
     from .exceptions import BaselineError, LedgerError
-    from .obs.analytics import (
-        DEFAULT_WINDOW, TrajectoryStore, analyze, discover_bench_files,
-    )
+    from .obs.analytics import TrajectoryStore, analyze
 
-    window = DEFAULT_WINDOW if args.window is None else args.window
-    if window < 1:
-        print(f"--window must be >= 1, got {window}", file=sys.stderr)
-        return 2
-    ledger_path = args.ledger or _default_ledger_path()
-    if args.no_bench:
-        bench_paths = []
-    elif args.bench is not None:
-        missing = [p for p in args.bench if not os.path.exists(p)]
-        if missing:
-            print(f"no such BENCH file: {', '.join(missing)}",
-                  file=sys.stderr)
-            return 2
-        bench_paths = args.bench
-    else:
-        bench_paths = discover_bench_files()
+    ledger_path, bench_paths, window = _sources(args)
     try:
         store = TrajectoryStore.collect(
-            ledger_path=ledger_path if os.path.exists(ledger_path) else None,
+            ledger_path=ledger_path,
             bench_paths=bench_paths,
             include_faulty=args.include_faulty,
         )
     except (LedgerError, BaselineError) as exc:
-        print(f"cannot read artifacts: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"cannot read artifacts: {exc}") from None
     tolerances = (
         None if args.tolerance is None else {"wall_clock": args.tolerance}
     )
@@ -1530,55 +1237,44 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     """``repro dashboard``: write the single-file HTML dashboard.
 
     Exits 0 on a written dashboard (even from partial artifacts — every
-    missing input degrades to an explicit empty panel), 2 on malformed
-    inputs.
+    missing defaulted input degrades to an explicit empty panel), 2 on
+    malformed inputs or a missing ``--bench`` file.
     """
     import os
 
     from .exceptions import BaselineError, LedgerError
-    from .obs.analytics import DEFAULT_WINDOW, discover_bench_files
     from .obs.bench import repo_root
     from .obs.dashboard import (
         DEFAULT_DASHBOARD, collect_payload, write_dashboard,
     )
 
     root = repo_root()
-    out = args.out or os.path.join(root, DEFAULT_DASHBOARD)
-    ledger_path = args.ledger or _default_ledger_path()
-    if args.no_bench:
-        bench_paths = []
-    elif args.bench is not None:
-        bench_paths = args.bench
-    else:
-        bench_paths = discover_bench_files()
-    telemetry = args.telemetry or os.path.join(
-        root, "artifacts", "telemetry_sweep.jsonl")
-    profile = args.profile or os.path.join(
-        root, "artifacts", "hotspots_sweep.folded")
+    ledger_path, bench_paths, window = _sources(args)
     try:
         payload = collect_payload(
             ledger_path=ledger_path,
             bench_paths=bench_paths,
-            telemetry_path=telemetry,
-            profile_path=profile,
-            window=DEFAULT_WINDOW if args.window is None else args.window,
+            telemetry_path=args.telemetry or os.path.join(
+                root, "artifacts", "telemetry_sweep.jsonl"),
+            profile_path=args.profile or os.path.join(
+                root, "artifacts", "hotspots_sweep.folded"),
+            window=window,
             include_faulty=args.include_faulty,
             top=args.top,
         )
     except (LedgerError, BaselineError, ValueError) as exc:
-        print(f"cannot read artifacts: {exc}", file=sys.stderr)
-        return 2
-    path = write_dashboard(out, payload)
+        raise UsageError(f"cannot read artifacts: {exc}") from None
+    path = write_dashboard(args.out or os.path.join(root, DEFAULT_DASHBOARD),
+                           payload)
     meta = payload["meta"]
     print(f"wrote {path} ({meta['points']} samples from "
           f"{len(meta['sources'])} artifact(s))")
     return 0
 
 
-def _cmd_artifact(name: str) -> int:
+def _cmd_artifact(args: argparse.Namespace) -> int:
     import importlib
     import os
-    import sys as _sys
 
     bench_dir = os.path.join(os.path.dirname(os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))), "benchmarks")
@@ -1589,22 +1285,21 @@ def _cmd_artifact(name: str) -> int:
         "lemma2": "bench_lemma2_cases",
         "crossover": "bench_memory_crossover",
     }
-    if os.path.isdir(bench_dir) and bench_dir not in _sys.path:
-        _sys.path.insert(0, bench_dir)
+    if os.path.isdir(bench_dir) and bench_dir not in sys.path:
+        sys.path.insert(0, bench_dir)
     try:
-        module = importlib.import_module(module_map[name])
+        module = importlib.import_module(module_map[args.command])
     except ImportError:
-        print(
-            f"artifact modules live in the repository's benchmarks/ directory, "
-            f"which was not found near {bench_dir!r}; run from a source checkout",
-            file=sys.stderr,
-        )
-        return 2
+        raise UsageError(
+            f"artifact modules live in the repository's benchmarks/ "
+            f"directory, which was not found near {bench_dir!r}; run from "
+            f"a source checkout"
+        ) from None
     module.main()
     return 0
 
 
-def _cmd_report() -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     from .analysis import reproduction_report
 
     report = reproduction_report()
@@ -1612,41 +1307,75 @@ def _cmd_report() -> int:
     return 0 if report.all_passed else 1
 
 
+def _check_shared(args: argparse.Namespace) -> None:
+    """Validate the flags that several subcommands share, once."""
+    if getattr(args, "workers", 0) < 0:
+        raise UsageError(f"--workers must be >= 0, got {args.workers}")
+    if getattr(args, "algorithms", None) is not None:
+        from .algorithms.registry import REGISTRY
+
+        args.algorithms = _split(args.algorithms) or None
+        unknown = [a for a in args.algorithms or () if a not in REGISTRY]
+        if unknown:
+            raise UsageError(f"unknown algorithm(s) {', '.join(unknown)}; "
+                             f"registered: {', '.join(REGISTRY)}")
+
+
+def _build_observability(args: argparse.Namespace) -> dict:
+    """The telemetry/profile/progress sinks a driver's flags ask for."""
+    from .obs.profile import ProfileCollector
+    from .obs.telemetry import ProgressReporter, Telemetry
+
+    want_telemetry = args.telemetry or args.trace_out or args.telemetry_out
+    return {
+        "telemetry": Telemetry(args.command) if want_telemetry else None,
+        "profile": (ProfileCollector()
+                    if args.profile or args.profile_out else None),
+        # Drivers that know their task count up front set ``total``.
+        "progress": (ProgressReporter(0, label=args.command)
+                     if args.progress else None),
+    }
+
+
+def _report_observability(args: argparse.Namespace) -> None:
+    """Print the digests and write the exports the flags ask for."""
+    from .obs.exporters import export_telemetry_chrome, export_telemetry_jsonl
+    from .obs.profile import write_collapsed
+
+    telemetry, profile = args.obs["telemetry"], args.obs["profile"]
+    if args.obs["progress"] is not None:
+        # Guaranteed final heartbeat, even when the total was unknown.
+        args.obs["progress"].finish()
+    if telemetry is not None:
+        print(telemetry.render())
+        if args.trace_out:
+            n = export_telemetry_chrome(telemetry, args.trace_out)
+            print(f"wrote merged Chrome trace ({n} events) to "
+                  f"{args.trace_out}")
+        if args.telemetry_out:
+            n = export_telemetry_jsonl(telemetry, args.telemetry_out)
+            print(f"wrote {n} telemetry records to {args.telemetry_out}")
+    if profile is not None:
+        print(profile.render(top=15))
+        if args.profile_out:
+            n = write_collapsed(profile.stats(), args.profile_out)
+            print(f"wrote {n} collapsed stacks to {args.profile_out}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "bounds":
-        return _cmd_bounds(args)
-    if args.command == "grid":
-        return _cmd_grid(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "apsp":
-        return _cmd_apsp(args)
-    if args.command == "large-p":
-        return _cmd_large_p(args)
-    if args.command == "plan":
-        return _cmd_plan(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "survive":
-        return _cmd_survive(args)
-    if args.command == "ledger":
-        return _cmd_ledger(args)
-    if args.command == "trend":
-        return _cmd_trend(args)
-    if args.command == "dashboard":
-        return _cmd_dashboard(args)
-    if args.command == "report":
-        return _cmd_report()
-    return _cmd_artifact(args.command)
+    observed = hasattr(args, "trace_out")  # the driver observability group
+    try:
+        _check_shared(args)
+        if observed:
+            args.obs = _build_observability(args)
+        code = args.handler(args)
+        if observed:
+            _report_observability(args)
+        return code
+    except (ReproError, OSError) as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

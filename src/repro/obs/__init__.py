@@ -56,8 +56,8 @@ that orchestrates simulations, rather than the simulated machine):
   pre-telemetry code path and produces byte-identical output.
 * :mod:`repro.obs.profile` — cProfile capture inside pool workers, raw
   stats merged across processes into one hotspot table and a
-  collapsed-stack (flamegraph-ready) export; the backend of
-  ``repro profile`` and the ``--profile`` driver flags.
+  collapsed-stack (flamegraph-ready) export; the backend of the
+  ``--profile`` / ``--profile-out`` driver flags.
 
 See ``docs/OBSERVABILITY.md`` for a guided tour.
 """

@@ -29,8 +29,8 @@ it is opt-in exactly like telemetry: ``profile=None`` leaves every
 driver on the uninstrumented path, and model costs are independent of it
 either way (asserted in ``tests/obs/test_profile.py``).
 
-The CLI front-ends are ``repro profile <driver>`` and the ``--profile``
-flag on ``repro sweep / bench / chaos / large-p``.
+The CLI front-end is the ``--profile`` / ``--profile-out`` flag pair on
+``repro sweep / bench / chaos / large-p``.
 """
 
 from __future__ import annotations

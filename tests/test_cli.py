@@ -653,6 +653,15 @@ class TestTelemetryFlags:
         out = capsys.readouterr().out
         assert "by tottime" in out and "ncalls" in out
 
+    def test_sweep_profile_out_writes_collapsed_stacks(self, tmp_path,
+                                                       capsys):
+        path = tmp_path / "folded.txt"
+        assert main(SMALL_SWEEP + ["--profile-out", str(path)]) == 0
+        assert "collapsed stacks" in capsys.readouterr().out
+        lines = path.read_text().splitlines()
+        assert lines and all(line.rsplit(" ", 1)[1].isdigit()
+                             for line in lines)
+
     def test_telemetry_out_jsonl(self, tmp_path, capsys):
         out_path = tmp_path / "telemetry.jsonl"
         assert main(SMALL_SWEEP + ["--telemetry-out", str(out_path)]) == 0
@@ -685,31 +694,6 @@ class TestTelemetryFlags:
                      "--filter", "symbolic:case1", "--no-ledger"]) == 0
         data = json.loads((tmp_path / "BENCH_plain.json").read_text())
         assert "telemetry" not in data
-
-
-class TestProfileCommand:
-    def test_profile_sweep_prints_table_and_timeline(self, capsys):
-        assert main(["profile", "sweep"]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry: driver=sweep" in out
-        assert "by tottime" in out
-
-    def test_profile_writes_collapsed_stacks(self, tmp_path, capsys):
-        path = tmp_path / "folded.txt"
-        assert main(["profile", "sweep", "--top", "5",
-                     "--collapsed", str(path)]) == 0
-        assert "collapsed stacks" in capsys.readouterr().out
-        lines = path.read_text().splitlines()
-        assert lines and all(line.rsplit(" ", 1)[1].isdigit()
-                             for line in lines)
-
-    def test_profile_rejects_unknown_driver(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "nonsense"])
-
-    def test_profile_rejects_negative_workers(self, capsys):
-        assert main(["profile", "sweep", "--workers", "-1"]) == 2
-        assert "--workers" in capsys.readouterr().err
 
 
 class TestTrendCommand:
@@ -773,9 +757,10 @@ class TestTrendCommand:
         assert report["counts"]["regressed"] >= 1
 
     def test_missing_bench_file_is_usage_error(self, tmp_path, capsys):
-        assert main(["trend", "--bench",
-                     str(tmp_path / "BENCH_none.json")]) == 2
-        assert "no such BENCH" in capsys.readouterr().err
+        for command in ("trend", "dashboard"):
+            assert main([command, "--bench",
+                         str(tmp_path / "BENCH_none.json")]) == 2
+            assert "no such BENCH" in capsys.readouterr().err
 
     def test_bad_window_is_usage_error(self, capsys):
         assert main(["trend", "--window", "0"]) == 2
@@ -982,3 +967,28 @@ class TestLedgerMixedSemiringDiff:
                   label=label)
         capsys.readouterr()
         assert main(["ledger", "diff", "0", "1", "--path", str(path)]) == 0
+
+
+class TestBoundaryErrors:
+    """Bad input ends in one stderr line and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "8", "8", "8", "-p", "0"],
+        ["bounds", "0", "8", "8", "-p", "4"],
+        ["grid", "8", "8", "8", "-p", "0"],
+        ["run", "8", "8", "8", "-p", "0"],
+        ["sweep", "--shapes", "8x8x8", "--procs", "0"],
+        ["plan", "8", "8", "8", "--procs", "0"],
+        ["plan", "0", "8", "8", "--procs", "4"],
+        ["plan", "8", "8", "8", "--procs", "4", "--json", "{missing}"],
+        ["survive", "--algorithms", "nope"],
+        ["sweep", "--shapes", "8x8x8", "--procs", "4", "--algorithms", "nope"],
+        ["chaos", "--algorithms", "nope", "--seeds", "1"],
+    ], ids=" ".join)
+    def test_bad_input_is_one_line_usage_error(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "x.json")
+        argv = [a.replace("{missing}", missing) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
