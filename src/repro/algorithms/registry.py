@@ -16,7 +16,6 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..collectives.schedules import is_power_of_two
 from ..core.shapes import ProblemShape
 from ..exceptions import InvalidProblemError, ShapeError
 from ..machine.backend import SymbolicBlock, is_symbolic, resolve_backend
@@ -34,6 +33,7 @@ from .cannon import run_cannon
 from .fox import run_fox
 from .fox_otto import run_fox_otto
 from .carma import run_carma
+from .carma_counts import carma_counts
 from .c25d import run_25d
 from .grid_selection import select_grid, sorted_divisors
 from .naive import run_outer_1d, run_row_1d
@@ -319,7 +319,7 @@ REGISTRY: Dict[str, AlgorithmEntry] = {
     "carma": AlgorithmEntry(
         name="carma",
         description="CARMA-style recursive algorithm",
-        applicable=lambda s, P: _carma_feasible(s, P),
+        applicable=lambda s, P: not isinstance(carma_counts(s.dims, P), str),
         run=lambda A, B, P, semiring=None: _wrap_carma(
             run_carma(A, B, P, semiring=semiring), semiring),
     ),
@@ -338,22 +338,6 @@ REGISTRY: Dict[str, AlgorithmEntry] = {
         run=_run_summa_abft_auto,
     ),
 }
-
-
-def _carma_feasible(shape: ProblemShape, P: int) -> bool:
-    """Dry-run CARMA's split decisions: every chosen dimension must be even."""
-    if not is_power_of_two(P) or shape.n1 < P or shape.n2 < P:
-        return False
-    dims = list(shape.dims)
-    p = P
-    while p > 1:
-        # Tie-breaking must match run_carma's: n1 first, then n3, then n2.
-        idx = max([0, 2, 1], key=lambda i: dims[i])
-        if dims[idx] % 2:
-            return False
-        dims[idx] //= 2
-        p //= 2
-    return True
 
 
 def _wrap_1d(res, name: str, semiring=None) -> AlgorithmRun:
@@ -386,8 +370,9 @@ _APPLICABILITY_HINTS: Dict[str, str] = {
              "pc | n2 and pc | n3",
     "c25d": "needs P = q^2 c with the replication factor c dividing q and "
             "q <= min(n1, n2, n3)",
-    "carma": "needs P a power of two with n1 >= P, n2 >= P and every "
-             "recursive split landing on an even dimension",
+    "carma": "needs P a power of two with n1 >= P, n2 >= P, every "
+             "recursive split landing on an even dimension and every "
+             "exchange carrying at least one piece (no empty message)",
     "alg1_abft": "needs P >= 2, the optimal grid dividing every dimension, "
                  "and each All-Gather fiber longer than 1 a power of two "
                  "dividing its shard",

@@ -41,8 +41,9 @@ summa      per panel stage: scatter+allgather broadcasts of the ``A``
            column panel (rows) and ``B`` row panel (columns).
 c25d       Cannon skews + ``ceil(log2 c)`` depth broadcasts + ``q/c - 1``
            shifts + ``ceil(log2 c)`` binomial depth reductions.
-carma      exact geometric replay of the recursive splits (regions only,
-           no elements) with merged-round accounting.
+carma      one round per split level plus one per ``n2`` combine; words
+           per round are the largest message, from slab-overlap arithmetic
+           per rank and level (:mod:`repro.algorithms.carma_counts`).
 alg1_abft  alg1 (auto collectives) plus the charged encode: one
            recursive-doubling All-Reduce per fiber longer than 1
            (``log2 p`` rounds of one shard each, same flops) and one
@@ -57,10 +58,15 @@ run's injector (``words_recovered``), never predicted here, so the oracle
 stays an independent witness for the encode overhead the survivability
 report compares against the Theorem 3 bound.
 
-The Fox/SUMMA broadcast and the CARMA recursion are *replayed over integer
-geometry* — identical round structure and piece sizes as the executable
-schedules, but no arrays, no machine, no data movement; evaluation cost is
-``O(P)``-ish integer work independent of matrix dimensions.
+The Fox/SUMMA broadcast is *replayed over integer geometry* — identical
+round structure and piece sizes as the executable schedule, but no arrays,
+no machine, no data movement.  CARMA is not replayed at all: every split
+it can execute halves an even dimension, so all subproblems at one level
+share a shape, and the initial row slabs of ``A`` and ``B`` are the only
+irregularity.  After ``l`` levels rank ``r`` holds exactly the slabs
+``s = r (mod P >> l)`` that meet its region, so each level's messages are
+counts and overlap sums over an arithmetic progression of slabs — integer
+arithmetic per rank and level, independent of the matrix dimensions.
 """
 
 from __future__ import annotations
@@ -68,9 +74,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.abft import abft_summa_grid, alg1_abft_grid
+from ..algorithms.carma_counts import carma_counts
 from ..algorithms.distributions import shards_divide_evenly
 from ..algorithms.grid_selection import select_grid
 from ..algorithms.registry import REGISTRY, c25d_grid, summa_grid
@@ -396,265 +403,20 @@ def _predict_c25d(shape: ProblemShape, P: int) -> OraclePrediction:
 
 
 # --------------------------------------------------------------------- #
-# CARMA: exact geometric replay                                         #
+# CARMA: per-level slab arithmetic                                      #
 # --------------------------------------------------------------------- #
-
-_Region = Tuple[int, int, int, int]  # (r0, r1, c0, c1)
-_Msg = Tuple[int, int, object, int]  # (src, dest, payload, words)
-_Replay = Generator[List[_Msg], Dict[int, object], object]
-
-
-def _clip_region(piece: _Region, region: _Region) -> Optional[_Region]:
-    pr0, pr1, pc0, pc1 = piece
-    rr0, rr1, rc0, rc1 = region
-    r0, r1 = max(pr0, rr0), min(pr1, rr1)
-    c0, c1 = max(pc0, rc0), min(pc1, rc1)
-    if r0 >= r1 or c0 >= c1:
-        return None
-    return (r0, r1, c0, c1)
-
-
-def _clip_regions(pieces: Sequence[_Region], region: _Region) -> List[_Region]:
-    out = []
-    for p in pieces:
-        clipped = _clip_region(p, region)
-        if clipped is not None:
-            out.append(clipped)
-    return out
-
-
-def _pack_words(pieces: Sequence[_Region]) -> int:
-    """Words of a packed piece list: 4 metadata words + area per piece."""
-    return sum(4 + (r1 - r0) * (c1 - c0) for (r0, r1, c0, c1) in pieces)
-
-
-def _split_region_for_combine(piece: _Region) -> Tuple[_Region, Optional[_Region]]:
-    r0, r1, c0, c1 = piece
-    if r1 - r0 > 1:
-        mid = (r0 + r1) // 2
-        return (r0, mid, c0, c1), (mid, r1, c0, c1)
-    if c1 - c0 > 1:
-        mid = (c0 + c1) // 2
-        return (r0, r1, c0, mid), (r0, r1, mid, c1)
-    return piece, None
-
-
-def _merge_replays(schedules: Sequence[_Replay]) -> _Replay:
-    """Mirror of :func:`repro.collectives.schedules.merge_schedules`."""
-    scheds = list(schedules)
-    results: List[object] = [None] * len(scheds)
-    active: Dict[int, _Replay] = dict(enumerate(scheds))
-    inbox: Dict[int, object] = {i: None for i in active}
-    while active:
-        round_msgs: List[_Msg] = []
-        dest_owner: Dict[int, int] = {}
-        for i in list(active):
-            try:
-                msgs = active[i].send(inbox[i])
-            except StopIteration as stop:
-                results[i] = stop.value
-                del active[i]
-                continue
-            for msg in msgs:
-                dest_owner[msg[1]] = i
-            round_msgs.extend(msgs)
-        if not active:
-            break
-        deliveries = yield round_msgs
-        inbox = {i: {} for i in active}
-        for dest, payload in (deliveries or {}).items():
-            if dest in dest_owner:
-                inbox[dest_owner[dest]][dest] = payload  # type: ignore[index]
-    return results
 
 
 def _carma_replay(shape: ProblemShape, P: int) -> Tuple[int, int, int, int]:
-    """Replay CARMA's recursion over regions: (rounds, words, flops, splits).
+    """CARMA's exact ``(rounds, words, flops, splits)``, or a typed refusal.
 
-    Identical control flow, message geometry and flop charges as
-    :func:`repro.algorithms.carma.run_carma`, with rectangle coordinates in
-    place of arrays; the merged-round driver mirrors ``run_schedule`` +
-    ``merge_schedules`` so the critical-path accounting is the same.
+    The counts come from :func:`repro.algorithms.carma_counts.carma_counts`,
+    the same predicate the registry's ``carma`` applicability reads.
     """
-    n1, n2, n3 = shape.dims
-    if not is_power_of_two(P):
-        raise OracleUnsupportedError(f"carma requires a power-of-two P, got {P}")
-    if n1 < P or n2 < P:
-        raise OracleUnsupportedError(
-            f"carma needs n1 >= P and n2 >= P for the slab distribution, "
-            f"got {shape}, P={P}"
-        )
-
-    holdings_a: Dict[int, List[_Region]] = {}
-    holdings_b: Dict[int, List[_Region]] = {}
-    holdings_c: Dict[int, List[_Region]] = {}
-    flops = [0] * P
-    for r in range(P):
-        base, extra = divmod(n1, P)
-        lo = r * base + min(r, extra)
-        holdings_a[r] = [(lo, lo + base + (1 if r < extra else 0), 0, n2)]
-        base, extra = divmod(n2, P)
-        lo = r * base + min(r, extra)
-        holdings_b[r] = [(lo, lo + base + (1 if r < extra else 0), 0, n3)]
-        holdings_c[r] = []
-    splits: List[str] = []
-
-    def recurse(
-        group: Tuple[int, ...],
-        i_rng: Tuple[int, int],
-        k_rng: Tuple[int, int],
-        j_rng: Tuple[int, int],
-    ) -> _Replay:
-        a_region: _Region = (i_rng[0], i_rng[1], k_rng[0], k_rng[1])
-        b_region: _Region = (k_rng[0], k_rng[1], j_rng[0], j_rng[1])
-        c_region: _Region = (i_rng[0], i_rng[1], j_rng[0], j_rng[1])
-
-        if len(group) == 1:
-            rank = group[0]
-            d1 = i_rng[1] - i_rng[0]
-            d2 = k_rng[1] - k_rng[0]
-            d3 = j_rng[1] - j_rng[0]
-            flops[rank] += d1 * d2 * d3
-            holdings_c[rank].append(c_region)
-            return
-            yield  # pragma: no cover - marks this function as a generator
-
-        d1 = i_rng[1] - i_rng[0]
-        d2 = k_rng[1] - k_rng[0]
-        d3 = j_rng[1] - j_rng[0]
-        largest = max(d1, d2, d3)
-        half = len(group) // 2
-        G0, G1 = group[:half], group[half:]
-        if largest % 2:
-            raise OracleUnsupportedError(
-                f"carma would halve an odd dimension of size {largest} at "
-                f"subproblem {d1}x{d2}x{d3}"
-            )
-
-        if d1 == largest:  # split i; B is shared
-            axis = "n1"
-            mid = (i_rng[0] + i_rng[1]) // 2
-            sub0 = ((i_rng[0], mid), k_rng, j_rng)
-            sub1 = ((mid, i_rng[1]), k_rng, j_rng)
-            a_reg0: _Region = (i_rng[0], mid, k_rng[0], k_rng[1])
-            a_reg1: _Region = (mid, i_rng[1], k_rng[0], k_rng[1])
-            msgs: List[_Msg] = []
-            for g0, g1 in zip(G0, G1):
-                pa01 = _clip_regions(holdings_a[g0], a_reg1)
-                pb01 = _clip_regions(holdings_b[g0], b_region)
-                pa10 = _clip_regions(holdings_a[g1], a_reg0)
-                pb10 = _clip_regions(holdings_b[g1], b_region)
-                msgs.append((g0, g1, (pa01, pb01), _pack_words(pa01) + _pack_words(pb01)))
-                msgs.append((g1, g0, (pa10, pb10), _pack_words(pa10) + _pack_words(pb10)))
-            deliveries = yield msgs
-            for g0, g1 in zip(G0, G1):
-                for rank, keep_a in ((g0, a_reg0), (g1, a_reg1)):
-                    in_a, in_b = deliveries[rank]
-                    holdings_a[rank] = _clip_regions(holdings_a[rank] + in_a, keep_a)
-                    holdings_b[rank] = _clip_regions(holdings_b[rank] + in_b, b_region)
-        elif d3 == largest:  # split j; A is shared
-            axis = "n3"
-            mid = (j_rng[0] + j_rng[1]) // 2
-            sub0 = (i_rng, k_rng, (j_rng[0], mid))
-            sub1 = (i_rng, k_rng, (mid, j_rng[1]))
-            b_reg0 = (k_rng[0], k_rng[1], j_rng[0], mid)
-            b_reg1 = (k_rng[0], k_rng[1], mid, j_rng[1])
-            msgs = []
-            for g0, g1 in zip(G0, G1):
-                pa01 = _clip_regions(holdings_a[g0], a_region)
-                pb01 = _clip_regions(holdings_b[g0], b_reg1)
-                pa10 = _clip_regions(holdings_a[g1], a_region)
-                pb10 = _clip_regions(holdings_b[g1], b_reg0)
-                msgs.append((g0, g1, (pa01, pb01), _pack_words(pa01) + _pack_words(pb01)))
-                msgs.append((g1, g0, (pa10, pb10), _pack_words(pa10) + _pack_words(pb10)))
-            deliveries = yield msgs
-            for rank, keep_b in [(g, b_reg0) for g in G0] + [(g, b_reg1) for g in G1]:
-                in_a, in_b = deliveries[rank]
-                holdings_b[rank] = _clip_regions(holdings_b[rank] + in_b, keep_b)
-                holdings_a[rank] = _clip_regions(holdings_a[rank] + in_a, a_region)
-        else:  # split the contraction; C contributions combine afterwards
-            axis = "n2"
-            mid = (k_rng[0] + k_rng[1]) // 2
-            sub0 = (i_rng, (k_rng[0], mid), j_rng)
-            sub1 = (i_rng, (mid, k_rng[1]), j_rng)
-            a_reg0 = (i_rng[0], i_rng[1], k_rng[0], mid)
-            a_reg1 = (i_rng[0], i_rng[1], mid, k_rng[1])
-            b_reg0 = (k_rng[0], mid, j_rng[0], j_rng[1])
-            b_reg1 = (mid, k_rng[1], j_rng[0], j_rng[1])
-            msgs = []
-            for g0, g1 in zip(G0, G1):
-                pa01 = _clip_regions(holdings_a[g0], a_reg1)
-                pb01 = _clip_regions(holdings_b[g0], b_reg1)
-                pa10 = _clip_regions(holdings_a[g1], a_reg0)
-                pb10 = _clip_regions(holdings_b[g1], b_reg0)
-                msgs.append((g0, g1, (pa01, pb01), _pack_words(pa01) + _pack_words(pb01)))
-                msgs.append((g1, g0, (pa10, pb10), _pack_words(pa10) + _pack_words(pb10)))
-            deliveries = yield msgs
-            for rank, keep_a, keep_b in (
-                [(g, a_reg0, b_reg0) for g in G0] + [(g, a_reg1, b_reg1) for g in G1]
-            ):
-                in_a, in_b = deliveries[rank]
-                holdings_a[rank] = _clip_regions(holdings_a[rank] + in_a, keep_a)
-                holdings_b[rank] = _clip_regions(holdings_b[rank] + in_b, keep_b)
-
-        splits.append(axis)
-        yield from _merge_replays([recurse(G0, *sub0), recurse(G1, *sub1)])
-
-        if axis == "n2":
-            firsts: Dict[int, List[_Region]] = {}
-            seconds: Dict[int, List[_Region]] = {}
-            for rank in group:
-                f: List[_Region] = []
-                s: List[_Region] = []
-                for piece in holdings_c[rank]:
-                    if _clip_region(piece, c_region) is None:
-                        continue
-                    p0, p1 = _split_region_for_combine(piece)
-                    f.append(p0)
-                    if p1 is not None:
-                        s.append(p1)
-                firsts[rank], seconds[rank] = f, s
-            msgs = []
-            for g0, g1 in zip(G0, G1):
-                msgs.append((g0, g1, seconds[g0], _pack_words(seconds[g0])))
-                msgs.append((g1, g0, firsts[g1], _pack_words(firsts[g1])))
-            deliveries = yield msgs
-            for g0, g1 in zip(G0, G1):
-                for rank, keep in ((g0, firsts[g0]), (g1, seconds[g1])):
-                    incoming = deliveries[rank]
-                    outer = [
-                        p for p in holdings_c[rank]
-                        if _clip_region(p, c_region) is None
-                    ]
-                    holdings_c[rank] = outer + list(keep)
-                    flops[rank] += sum(
-                        (r1 - r0) * (c1 - c0) for (r0, r1, c0, c1) in incoming
-                    )
-
-    # Drive the replay exactly like run_schedule + machine.exchange: a
-    # non-empty yielded round charges one round and its largest message.
-    rounds = 0
-    words = 0
-    sched = recurse(tuple(range(P)), (0, n1), (0, n2), (0, n3))
-    inbox: Optional[Dict[int, object]] = None
-    while True:
-        try:
-            msgs = sched.send(inbox)
-        except StopIteration:
-            break
-        if msgs:
-            for m in msgs:
-                if m[3] == 0:
-                    raise OracleUnsupportedError(
-                        "carma replay produced an empty message; the "
-                        "executable run would reject this configuration"
-                    )
-            rounds += 1
-            words += max(m[3] for m in msgs)
-            inbox = {m[1]: m[2] for m in msgs}
-        else:
-            inbox = {}
-    return rounds, words, max(flops), len(splits)
+    counts = carma_counts(shape.dims, P)
+    if isinstance(counts, str):
+        raise OracleUnsupportedError(counts)
+    return counts
 
 
 def _predict_carma(shape: ProblemShape, P: int) -> OraclePrediction:

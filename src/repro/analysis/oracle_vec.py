@@ -44,10 +44,10 @@ Kernel structure per algorithm
     expression (3) and the encode/broadcast arithmetic broadcast over
     the whole batch.
 ``carma``
-    The recursion is data-dependent geometry, not a closed form; its
-    exact replay runs once per unique ``(shape, P)`` and is memoized.
-    Refusals (non-power-of-two ``P``, slabs thinner than ``P``) are
-    detected without replaying.
+    The per-level slab arithmetic (vectorized over ranks, memoized in
+    :func:`repro.algorithms.carma_counts.carma_counts`) runs once per
+    unique ``(shape, P)``.  Refusals (non-power-of-two ``P``, slabs
+    thinner than one row) return before any level is evaluated.
 
 Rows whose magnitudes could make ``float64``/``int64`` arithmetic
 diverge from Python's exact integers (see :func:`_shape_in_safe_range`)
@@ -359,16 +359,6 @@ def _alg1_abft_grid_cached(dims: Tuple[int, int, int], P: int):
 @functools.lru_cache(maxsize=65536)
 def _abft_summa_grid_cached(dims: Tuple[int, int, int], P: int):
     return abft_summa_grid(ProblemShape(*dims), P)
-
-
-@functools.lru_cache(maxsize=65536)
-def _carma_cached(dims: Tuple[int, int, int], P: int):
-    """CARMA's exact geometric replay, or ``None`` where it refuses."""
-    try:
-        rounds, words, flops, n_splits = _carma_replay(ProblemShape(*dims), P)
-    except OracleUnsupportedError:
-        return None
-    return rounds, words, flops, f"{n_splits} splits"
 
 
 def _unique_rows(dims: np.ndarray, P: np.ndarray, mask: np.ndarray):
@@ -693,15 +683,15 @@ def _kernel_c25d(state, coll):
 
 def _kernel_carma(state, coll):
     for rows, dims, P in state.unique_rows():
-        result = _carma_cached(dims, P)
-        if result is None:
+        try:
+            rounds, words, flops, n_splits = _carma_replay(ProblemShape(*dims), P)
+        except OracleUnsupportedError:
             state.ok[rows] = False
             continue
-        rounds, words, flops, config = result
         state.rounds[rows] = rounds
         state.words[rows] = words
         state.flops[rows] = flops
-        state.set_config(rows, config)
+        state.set_config(rows, f"{n_splits} splits")
 
 
 _KERNELS = {
