@@ -1,32 +1,68 @@
-"""Array-oriented oracle kernels: whole sweep grids per broadcasted call.
+"""Oracle closed forms as array kernels: one algorithm over a batch of rows.
 
-The scalar oracle (:mod:`repro.analysis.oracle`) predicts one
-``(algorithm, shape, P)`` configuration per call and *refuses* ragged
-configurations with a typed :class:`~repro.exceptions.OracleUnsupportedError`.
-That contract is perfect for spot checks and terrible for throughput:
-planner queries and sweep grids want millions of points, and a Python
-call per point — with a fresh grid search, broadcast replay and bound
-evaluation each time — is the bottleneck the ROADMAP's "millions of
-users" surface cannot afford.
+Every closed form the oracle knows is written here, once.
+:func:`predict_batch` evaluates one algorithm over a batch of
+``(n1, n2, n3, P)`` rows and returns a :class:`BatchPrediction`;
+:func:`repro.analysis.oracle.predict_cost` is its one-row view.
 
-:func:`predict_batch` evaluates one algorithm over a whole batch of
-``(n1, n2, n3, P)`` rows at once and returns a :class:`BatchPrediction`:
-
-* a **validity mask** replaces the per-call exception — ``valid[i]`` is
-  ``True`` exactly when ``predict_cost`` would return for row ``i`` and
-  ``False`` exactly when it would raise ``OracleUnsupportedError``;
-* integer cost counters (``rounds``, ``words``, ``flops``) computed from
-  the same closed forms — regrouped freely because Python/ int64 integer
-  sums are associative, so the totals are *identical*, not approximate;
+* a **validity mask** replaces the per-call exception: ``valid[i]`` is
+  ``False`` exactly where ``predict_cost`` on row ``i`` raises
+  :class:`~repro.exceptions.OracleUnsupportedError` (and
+  ``prediction(i)`` raises it);
+* integer cost counters (``rounds``, ``words``, ``flops``) computed with
+  integer arithmetic, regrouped freely because integer sums are
+  associative, so the totals are *identical*, not approximate;
 * the float analysis (Theorem 3 bound, attainment ratio, bound-check
-  gap) evaluated as numpy ``float64`` expressions that replicate the
-  scalar op order exactly (see DESIGN.md, "Vectorization soundness").
+  gap) evaluated as numpy ``float64`` expressions in the op order of
+  :func:`repro.obs.attainment.bound_attainment` and
+  :func:`repro.analysis.verification.check_cost_against_bound` (see
+  DESIGN.md, "Vectorization soundness").
 
-Equality with the scalar oracle is enforced at **zero tolerance** by the
-differential harness (``tests/analysis/test_oracle_vec.py``): costs,
-configs, bounds, attainments and the refusal mask must match bit for bit
-over a randomized grid spanning all three Theorem 3 cases and every
-registry algorithm.
+Two integer dtypes, one set of kernels
+--------------------------------------
+Rows that pass :func:`_shape_in_safe_range` run on ``int64`` arrays and
+get the vectorized float finish.  Rows outside it, where ``int64`` could
+overflow or ``float64`` could round, run through the *same* kernels on
+object arrays of Python integers; the helpers that would be inexact there
+(:func:`_bit_length`, :func:`_isqrt_vec`, :func:`_unique_rows`,
+:func:`_sab_all_roots`) take an exact branch on object arrays, and those
+rows are finished one by one by ``bound_attainment`` and
+``check_cost_against_bound``.  Exactness is never traded for speed.
+
+The mask and every field are checked against the simulator
+(:func:`~repro.analysis.verification.cross_check_oracle` on both
+backends), against pinned per-algorithm digests and out-of-range values
+(``tests/analysis/test_oracle_vec.py``), and against the golden fixtures.
+
+Per-algorithm cost shapes (divisible configurations, ``a/b/d`` block words):
+
+=========  ================================================================
+alg1       expression (3) words; rounds from the collective dispatch
+           (``log2 p`` for power-of-two fibers, ``p - 1`` ring, Bruck
+           ``ceil log2 p``); flops ``n1 n2 n3 / P`` + reduce-scatter adds.
+row_1d     ``(1 - 1/P) n2 n3`` words (All-Gather of ``B``).
+outer_1d   ``(1 - 1/P) n1 n3`` words (Reduce-Scatter of ``C`` partials).
+cannon     ``q (a + b)`` words in ``2q`` rounds (2 skews + ``2(q-1)`` shifts).
+fox        per stage: scatter+allgather broadcast of the pivot ``A`` block
+           along rows (max over the ``q`` root rotations) plus a
+           one-round roll of ``B``.
+fox_otto   identical to fox: the min-plus distance product runs the same
+           schedule, and all counters are semiring-independent.
+summa      per panel stage: scatter+allgather broadcasts of the ``A``
+           column panel (rows) and ``B`` row panel (columns).
+c25d       Cannon skews + ``ceil(log2 c)`` depth broadcasts + ``q/c - 1``
+           shifts + ``ceil(log2 c)`` binomial depth reductions.
+carma      one round per split level plus one per ``n2`` combine; words
+           per round are the largest message, from slab-overlap arithmetic
+           per rank and level (:mod:`repro.algorithms.carma_counts`).
+alg1_abft  alg1 (auto collectives) plus the charged encode: one
+           recursive-doubling All-Reduce per fiber longer than 1
+           (``log2 p`` rounds of one shard each, same flops) and one
+           buddy-replication round when some fiber has length 1.
+summa_abft summa on the extended ``(pr+1) x pc`` grid (the checksum row
+           rides every panel stage) plus one encode round replicating the
+           stationary ``B`` blocks.
+=========  ================================================================
 
 Kernel structure per algorithm
 ------------------------------
@@ -48,11 +84,6 @@ Kernel structure per algorithm
     :func:`repro.algorithms.carma_counts.carma_counts`) runs once per
     unique ``(shape, P)``.  Refusals (non-power-of-two ``P``, slabs
     thinner than one row) return before any level is evaluated.
-
-Rows whose magnitudes could make ``float64``/``int64`` arithmetic
-diverge from Python's exact integers (see :func:`_shape_in_safe_range`)
-fall back to the scalar oracle per row — exactness is never traded for
-speed.
 """
 
 from __future__ import annotations
@@ -70,7 +101,8 @@ from ..algorithms.registry import c25d_grid, summa_grid
 from ..core.shapes import ProblemShape
 from ..exceptions import GridError, OracleUnsupportedError, ShapeError
 from ..machine.cost import Cost
-from .oracle import ORACLE_ALGORITHMS, OraclePrediction, _carma_replay, predict_cost
+from ..obs.attainment import bound_attainment
+from .oracle import ORACLE_ALGORITHMS, OraclePrediction, _carma_replay
 
 __all__ = ["BatchPrediction", "predict_batch"]
 
@@ -96,8 +128,9 @@ class BatchPrediction:
     """Vectorized oracle output for one algorithm over N configuration rows.
 
     ``valid`` is the refusal mask: ``False`` entries are exactly the rows
-    where the scalar oracle raises ``OracleUnsupportedError``; their
-    cost/bound entries are zero/NaN filler and ``configs`` entry ``None``.
+    the oracle refuses; their cost/bound entries are zero/NaN filler and
+    ``configs`` entry ``None``.  ``dims`` and ``P`` are ``int64``, or
+    object arrays of Python ints when some input needs more than 64 bits.
     """
 
     algorithm: str
@@ -117,11 +150,11 @@ class BatchPrediction:
         return len(self.valid)
 
     def prediction(self, i: int) -> OraclePrediction:
-        """Reconstruct the scalar :class:`OraclePrediction` for row ``i``.
+        """The :class:`OraclePrediction` for row ``i``.
 
-        Equal (bit for bit, every field) to ``predict_cost`` on the same
-        row; raises :class:`OracleUnsupportedError` where the scalar
-        oracle would.
+        This is what :func:`repro.analysis.oracle.predict_cost` returns for
+        the row; raises :class:`OracleUnsupportedError` where ``valid[i]``
+        is False.
         """
         if not self.valid[i]:
             raise OracleUnsupportedError(
@@ -154,11 +187,13 @@ def _shape_in_safe_range(n1: int, n2: int, n3: int, P: int) -> bool:
     """Can this row run through the int64/float64 kernels exactly?
 
     Checked with Python's unbounded integers.  The conditions guarantee
-    (a) every float the scalar path materializes (``n*k``, ``m*n*k*k``,
-    ``total_data`` …) is below 2**53, so its float64 image is exact and
-    numpy's correctly rounded divide/sqrt reproduce Python bit for bit,
-    and (b) every int64 intermediate (classify comparisons, word/flop
-    counters bounded by ``volume * O(log P)``) stays far from overflow.
+    (a) every float the bound evaluation materializes (``n*k``,
+    ``m*n*k*k``, ``total_data`` …) is below 2**53, so its float64 image is
+    exact and numpy's correctly rounded divide/sqrt reproduce Python's
+    float arithmetic bit for bit, and (b) every int64 intermediate
+    (classify comparisons, word/flop counters bounded by
+    ``volume * O(log P)``) stays far from overflow.  Rows failing it run
+    on object arrays of Python ints instead.
     """
     vol = n1 * n2 * n3
     k = min(n1, n2, n3)
@@ -178,7 +213,12 @@ def _shape_in_safe_range(n1: int, n2: int, n3: int, P: int) -> bool:
 
 
 def _bit_length(a: np.ndarray) -> np.ndarray:
-    """Elementwise ``int.bit_length`` for 0 <= a < 2**53 (frexp is exact)."""
+    """Elementwise ``int.bit_length`` for ``a >= 0``.
+
+    ``frexp`` is exact below 2**53; object arrays use Python's own.
+    """
+    if a.dtype == object:
+        return np.frompyfunc(int.bit_length, 1, 1)(a)
     _, exponent = np.frexp(a.astype(np.float64))
     return exponent.astype(np.int64)
 
@@ -216,7 +256,10 @@ def _collective_rounds_vec(
 
 
 def _isqrt_vec(P: np.ndarray) -> np.ndarray:
-    """Exact elementwise integer sqrt for P < 2**53."""
+    """Exact elementwise integer sqrt: float sqrt corrected below 2**53,
+    :func:`math.isqrt` on object arrays."""
+    if P.dtype == object:
+        return np.frompyfunc(math.isqrt, 1, 1)(P)
     q = np.floor(np.sqrt(P.astype(np.float64))).astype(np.int64)
     q = np.where((q + 1) * (q + 1) <= P, q + 1, q)  # sqrt rounded low
     q = np.where(q * q > P, q - 1, q)               # sqrt rounded high
@@ -232,8 +275,8 @@ def _isqrt_vec(P: np.ndarray) -> np.ndarray:
 def _sab_structure(p: int) -> Tuple[int, Tuple[Tuple[Tuple[int, int], ...], ...]]:
     """Round structure of the binomial scatter over ``p`` contiguous pieces.
 
-    The scalar replay's ``holding`` map always holds *contiguous* index
-    ranges: it starts as ``{0: range(p)}`` and each round splits
+    The broadcast schedule's holdings are always *contiguous* index
+    ranges: they start as ``{0: range(p)}`` and each round splits
     ``[i, i+len)`` into a kept prefix ``[i, i+dist)`` and a moved suffix
     ``[i+dist, i+len)``.  This function replays only that interval
     geometry — returning, per non-empty round, the moved suffixes as
@@ -274,9 +317,10 @@ def _overlap(s: np.ndarray, length: int, extra: int, p: int) -> np.ndarray:
 def _sab_all_roots(p: int, w: int) -> Tuple[int, int]:
     """``(rounds, sum over roots rho in range(p) of critical words)``.
 
-    Equals ``sum(_scatter_allgather_broadcast(p, w, (rho,))[1] for rho in
-    range(p))`` with the shared per-root round count — the exact
-    ingredients of SUMMA's regrouped stage loop.  Piece ``j`` under root
+    The summed critical words of the van de Geijn broadcast (binomial
+    scatter of ``numpy.array_split`` pieces, then a ring All-Gather) over
+    every single-root rotation, with the shared per-root round count —
+    the exact ingredients of SUMMA's regrouped stage loop.  Piece ``j`` under root
     ``rho`` has ``base + (1 if (j + rho) % p < extra else 0)`` words, so
     a moved suffix of ``length`` starting at ``start`` sends
     ``base * length + overlap`` words; the per-round critical message
@@ -289,10 +333,14 @@ def _sab_all_roots(p: int, w: int) -> Tuple[int, int]:
             f"empty pieces; the executable schedule cannot send them"
         )
     scatter_rounds, structure = _sab_structure(p)
-    rho = np.arange(p, dtype=np.int64)
-    total = np.zeros(p, dtype=np.int64)
+    # Each root's words are at most w per scatter round plus (p-1)
+    # pieces; past int64 headroom the sums run on Python ints.
+    exact = p * (w * (p.bit_length() + 1) + p) >= _INT64_SAFE
+    dtype = object if exact else np.int64
+    rho = np.arange(p, dtype=np.int64).astype(dtype)
+    total = np.zeros(p, dtype=dtype)
     for intervals in structure:
-        crit = np.zeros(p, dtype=np.int64)
+        crit = np.zeros(p, dtype=dtype)
         for start, length in intervals:
             shifted = (start + rho) % p
             sent = base * length + _overlap(shifted, length, extra, p)
@@ -304,12 +352,14 @@ def _sab_all_roots(p: int, w: int) -> Tuple[int, int]:
 
 @functools.lru_cache(maxsize=16384)
 def _sab_merged_roots(p: int, w: int) -> Tuple[int, int]:
-    """``_scatter_allgather_broadcast(p, w, range(p))`` in closed form.
+    """``(rounds, critical words)`` of the broadcast with all ``p`` root
+    rotations merged into each round (Fox's pivot broadcasts).
 
     With every rotation present, a moved suffix of ``length`` can always
     be aligned to cover ``min(length, extra)`` of the +1-sized pieces
     (and no rotation covers more), so the per-round critical message is
-    ``max over suffixes of base * length + min(length, extra)``.
+    ``max over suffixes of base * length + min(length, extra)``.  All
+    arithmetic is on Python ints, so it is exact at any size.
     """
     base, extra = divmod(w, p)
     if base == 0:
@@ -367,6 +417,13 @@ def _unique_rows(dims: np.ndarray, P: np.ndarray, mask: np.ndarray):
     if idx.size == 0:
         return
     rows = np.column_stack([dims[idx], P[idx]])
+    if rows.dtype == object:  # np.unique(axis=0) rejects object arrays
+        groups = {}
+        for i, row in zip(idx, rows.tolist()):
+            groups.setdefault(tuple(row), []).append(i)
+        for (n1, n2, n3, p), members in groups.items():
+            yield np.asarray(members), (n1, n2, n3), p
+        return
     uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
     for u in range(len(uniq)):
         n1, n2, n3, p = (int(v) for v in uniq[u])
@@ -455,7 +512,7 @@ def _summa_direction(p: int, w: int, stages: int) -> Optional[Tuple[int, int]]:
     ``stages // p`` times; integer sums regroup exactly.
     """
     if w < p:
-        return None  # empty pieces: the scalar replay refuses
+        return None  # empty pieces: the schedule cannot send them
     rounds_single, words_all_roots = _sab_all_roots(p, w)
     return stages * rounds_single, (stages // p) * words_all_roots
 
@@ -600,7 +657,7 @@ def _kernel_alg1_abft(state, coll):
     enc1 = p1 > 1
     # Encode: recursive-doubling All-Reduce per fiber longer than 1 (the
     # grid picker guarantees power-of-two fibers, so ok3/ok1 are vacuous
-    # but kept for parity with the scalar refusal path), then one buddy
+    # but kept as a refusal guard), then one buddy
     # replication round when some fiber has length 1.
     s3, ok3 = _collective_rounds_vec(p3, "recursive_doubling")
     s1, ok1 = _collective_rounds_vec(p1, "recursive_doubling")
@@ -715,16 +772,17 @@ _KERNELS = {
 
 
 class _KernelState:
-    """Mutable working arrays one kernel fills for the fast-path rows."""
+    """Mutable working arrays one kernel fills; counters take the dtype
+    of ``dims`` (int64, or object for exact Python ints)."""
 
     def __init__(self, dims: np.ndarray, P: np.ndarray):
         n = len(P)
         self.dims = dims
         self.P = P
         self.ok = np.ones(n, dtype=bool)
-        self.rounds = np.zeros(n, dtype=np.int64)
-        self.words = np.zeros(n, dtype=np.int64)
-        self.flops = np.zeros(n, dtype=np.int64)
+        self.rounds = np.zeros(n, dtype=dims.dtype)
+        self.words = np.zeros(n, dtype=dims.dtype)
+        self.flops = np.zeros(n, dtype=dims.dtype)
         self.configs: List[Optional[str]] = [None] * n
 
     def cols(self):
@@ -753,7 +811,8 @@ def _float_finish(
 ):
     """Theorem 3 bound, attainment, gap and satisfied flags, vectorized.
 
-    Replicates the scalar op order exactly: sorted float dims, the
+    Replicates the op order of ``bound_attainment`` and
+    ``check_cost_against_bound`` exactly: sorted float dims, the
     case-wise Lemma 2 value summed left to right, ``D - total_data / P``,
     and the guarded ratios.  Valid only on rows passing the safe-range
     guard (all inputs exactly representable; classify comparisons free of
@@ -785,7 +844,7 @@ def _float_finish(
     # Case 3: c = (m*n*k/P) ** (2/3); sum((c, c, c)).  numpy's vectorized
     # power is not correctly rounded (1-ulp drift vs libm on some inputs),
     # so the pow itself runs through CPython's float.__pow__ on the unique
-    # ratio values — bit-identical to the scalar oracle by construction.
+    # ratio values — bit-identical to ``bound_attainment`` by construction.
     ratio = ((mf * nf) * kf) / pf
     uniq, inverse = np.unique(ratio, return_inverse=True)
     c3 = np.asarray([float(u) ** (2.0 / 3.0) for u in uniq])[inverse]
@@ -812,19 +871,31 @@ def _float_finish(
 # --------------------------------------------------------------------- #
 
 
+def _int_array(values) -> np.ndarray:
+    """``values`` as int64, or as an object array of Python ints when some
+    entry needs more than 64 bits."""
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        arr = np.asarray(values, dtype=object)
+        return np.array([int(v) for v in arr.flat], dtype=object).reshape(arr.shape)
+
+
 def _normalize_batch(shapes, P) -> Tuple[np.ndarray, np.ndarray]:
     if isinstance(shapes, ProblemShape):
-        dims = np.asarray([shapes.dims], dtype=np.int64)
-    else:
-        seq = list(shapes) if not isinstance(shapes, np.ndarray) else shapes
-        if isinstance(seq, list) and seq and isinstance(seq[0], ProblemShape):
-            seq = [s.dims for s in seq]
-        dims = np.asarray(seq, dtype=np.int64)
-        if dims.ndim == 1:
-            dims = dims.reshape(1, 3)
+        shapes = [shapes.dims]
+    elif not isinstance(shapes, np.ndarray):
+        shapes = list(shapes)
+        if shapes and isinstance(shapes[0], ProblemShape):
+            shapes = [s.dims for s in shapes]
+    dims = _int_array(shapes)
+    if dims.ndim == 1 and dims.size in (0, 3):  # no rows, or one bare triple
+        dims = dims.reshape(-1, 3)
     if dims.ndim != 2 or dims.shape[1] != 3:
         raise ShapeError(f"expected (N, 3) dimensions, got shape {dims.shape}")
-    Parr = np.atleast_1d(np.asarray(P, dtype=np.int64))
+    Parr = np.atleast_1d(_int_array(P))
+    if dims.dtype == object or Parr.dtype == object:
+        dims, Parr = dims.astype(object), Parr.astype(object)
     if len(dims) == 1 and len(Parr) > 1:
         dims = np.repeat(dims, len(Parr), axis=0)
     if len(Parr) == 1 and len(dims) > 1:
@@ -845,29 +916,30 @@ def predict_batch(
     P,
     collective_algorithm: Optional[str] = None,
 ) -> BatchPrediction:
-    """Vectorized :func:`repro.analysis.oracle.predict_cost` over a batch.
+    """The oracle over a batch of configurations, one algorithm at a time.
 
     Parameters
     ----------
     name:
         Registry algorithm name.  Unknown names raise
-        :class:`OracleUnsupportedError` (matching the scalar dispatch).
+        :class:`OracleUnsupportedError`.
     shapes, P:
         Either equal-length sequences of shapes (``ProblemShape`` or
         ``(n1, n2, n3)`` triples) and processor counts, or one of the two
         broadcast against the other (one shape x many P, many shapes x
-        one P).
+        one P).  Empty sequences give an empty batch.
     collective_algorithm:
-        Honoured for ``alg1`` only, mirroring the scalar oracle.
+        Honoured for ``alg1`` only, mirroring
+        :func:`repro.algorithms.registry.run_algorithm`.
 
     Returns
     -------
     BatchPrediction
         Per-row validity mask, integer cost counters, configs, and the
-        vectorized float analysis (bound / attainment / gap).  For every
-        row, ``prediction(i)`` equals the scalar oracle's output bit for
-        bit, and ``valid[i] is False`` exactly when the scalar oracle
-        raises ``OracleUnsupportedError``.
+        float analysis (bound / attainment / gap).  ``prediction(i)`` is
+        :func:`repro.analysis.oracle.predict_cost` on row ``i``, and
+        ``valid[i]`` is False exactly where that raises
+        ``OracleUnsupportedError``.
     """
     if name not in _KERNELS:
         raise OracleUnsupportedError(
@@ -878,17 +950,23 @@ def predict_batch(
     n = len(Parr)
 
     positive = Parr >= 1
+    Pc = np.where(positive, Parr, 1)
     safe = np.fromiter(
         (
             _shape_in_safe_range(int(d[0]), int(d[1]), int(d[2]), int(p))
-            for d, p in zip(dims, np.maximum(Parr, 1))
+            for d, p in zip(dims, Pc)
         ),
         dtype=bool,
         count=n,
     )
     fast = positive & safe
+    if dims.dtype == object:  # the in-range rows still run on int64
+        dims64 = np.where(fast[:, None], dims, 1).astype(np.int64)
+        P64 = np.where(fast, Pc, 1).astype(np.int64)
+    else:
+        dims64, P64 = dims, Pc
 
-    state = _KernelState(dims, np.where(positive, Parr, 1))
+    state = _KernelState(dims64, P64)
     state.ok &= fast
     if fast.any():
         _KERNELS[name](state, collective_algorithm)
@@ -901,32 +979,36 @@ def predict_batch(
     configs = [c if ok else None for c, ok in zip(state.configs, valid)]
 
     bound, attainment, gap, satisfied = _float_finish(
-        dims, np.maximum(Parr, 1), words, valid
+        dims64, P64, words, valid
     )
 
-    # Rows outside the exact int64/float64 range fall back to the scalar
-    # oracle one by one — exactness over speed, and these are rare.
-    from .verification import check_cost_against_bound
+    # Rows outside the int64/float64-exact range run through the same
+    # kernel on Python ints; their float finish is the per-row one.
+    wide = np.flatnonzero(positive & ~safe)
+    if wide.size:
+        from .verification import check_cost_against_bound
 
-    for i in np.flatnonzero(positive & ~safe):
-        shape = ProblemShape(*(int(v) for v in dims[i]))
-        try:
-            pred = predict_cost(
-                name, shape, int(Parr[i]),
-                collective_algorithm=collective_algorithm,
+        exact = _KernelState(dims[wide].astype(object), Pc[wide].astype(object))
+        _KERNELS[name](exact, collective_algorithm)
+        for j in np.flatnonzero(exact.ok):
+            i = wide[j]
+            shape = ProblemShape(*exact.dims[j])
+            cost = Cost(
+                rounds=exact.rounds[j],
+                words=float(exact.words[j]),
+                flops=float(exact.flops[j]),
             )
-        except OracleUnsupportedError:
-            continue
-        check = check_cost_against_bound(shape, int(Parr[i]), pred.cost)
-        valid[i] = True
-        rounds[i] = pred.cost.rounds
-        words[i] = pred.cost.words
-        flops[i] = pred.cost.flops
-        configs[i] = pred.config
-        bound[i] = pred.bound
-        attainment[i] = pred.attainment
-        gap[i] = check.gap_ratio
-        satisfied[i] = check.satisfied
+            gauge = bound_attainment(shape, exact.P[j], cost.words)
+            check = check_cost_against_bound(shape, exact.P[j], cost)
+            valid[i] = True
+            rounds[i] = cost.rounds
+            words[i] = cost.words
+            flops[i] = cost.flops
+            configs[i] = exact.configs[j]
+            bound[i] = gauge.bound
+            attainment[i] = gauge.ratio
+            gap[i] = check.gap_ratio
+            satisfied[i] = check.satisfied
 
     return BatchPrediction(
         algorithm=name,

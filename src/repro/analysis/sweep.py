@@ -121,10 +121,9 @@ def _sweep_shape(
         from .oracle_vec import predict_batch
 
         # One vectorized call per algorithm covers the shape's whole P
-        # column; rows come back in the same (P, name) order as the
-        # historical scalar loop, refusals arrive as mask entries instead
-        # of exceptions, and every emitted field is bit-identical to the
-        # per-point predict_cost path (the golden fixtures pin this).
+        # column; rows come back in (P, name) order, refusals arrive as
+        # mask entries instead of exceptions, and every emitted field is
+        # pinned by the golden fixtures.
         order: List[Tuple[int, str]] = []
         for P in processor_counts:
             runnable = set(applicable_algorithms(shape, P))
@@ -149,7 +148,7 @@ def _sweep_shape(
         for P, name in order:
             batch, i, per_row = rows[(name, P)]
             if not batch.valid[i]:
-                continue  # the scalar oracle would refuse this row
+                continue  # predict_cost would refuse this row
             verify_start = time.perf_counter()
             if not bool(batch.satisfied[i]):
                 pred = batch.prediction(i)
