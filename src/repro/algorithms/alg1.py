@@ -16,6 +16,12 @@ The implementation runs every fiber's collective simultaneously (merged
 network rounds), uses bandwidth-optimal All-Gather/Reduce-Scatter
 algorithms, and performs the real numerical multiplication so the output is
 checked against ``A @ B``.
+
+With symbolic operands on a fault-free machine without a memory limit,
+and the Reduce-Scatter final phase, nothing per rank needs a Python
+object: the run is one rank-array replay (:func:`_replay_symbolic`) that
+charges the same rounds, words, flops, spans and peak footprint from
+block extents alone.  Every other run moves blocks through the stores.
 """
 
 from __future__ import annotations
@@ -26,11 +32,14 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..collectives.communicator import (
+    array_allgather,
+    array_reduce_scatter,
     parallel_allgather,
     parallel_alltoall,
     parallel_reduce_scatter,
 )
 from ..core.shapes import ProblemShape
+from ..exceptions import DistributionError
 from ..machine.backend import SymbolicBlock, as_block, backend_for
 from ..machine.cost import Cost, CostModel
 from ..machine.machine import Machine
@@ -40,8 +49,11 @@ from .cost_models import Alg1CostBreakdown, alg1_cost_terms
 from .distributions import (
     assemble_c,
     block_bounds,
+    block_extents,
+    check_operands,
     distribute_inputs,
     shard_bounds,
+    shard_sizes,
 )
 from .grid import ProcessorGrid
 
@@ -53,22 +65,115 @@ def _extent(n: int, parts: int, index: int) -> int:
     return hi - lo
 
 
+#: The gather-phase algorithm names map onto their reduce-phase duals;
+#: Bruck has no Reduce-Scatter dual, so it falls back to "auto".
+_REDUCE_DUAL = {"recursive_doubling": "recursive_halving", "bruck": "auto"}
+
+
 def _store_gathered(machine, grid, axis, gathered, key, block_shape) -> None:
     """Concatenate every rank's gathered chunks into its ``key`` block.
 
     All members of an ``axis`` fiber gather the same chunks into a block
-    of the same shape, ``block_shape(coord)``.  Symbolic blocks are
-    immutable, so one concatenation per fiber serves all its members;
-    data blocks are concatenated per rank, so every rank owns its copy.
+    of the same shape, ``block_shape(coord)``; every rank owns its copy.
     """
     for fiber in grid.fibers(axis):
         shape = block_shape(grid.coord(fiber[0]))
-        block = None
         for rank in fiber:
-            if type(block) is not SymbolicBlock:
-                flat = np.concatenate([as_block(ch).reshape(-1) for ch in gathered[rank]])
-                block = flat.reshape(shape)
-            machine.proc(rank).store[key] = block
+            flat = np.concatenate([as_block(ch).reshape(-1) for ch in gathered[rank]])
+            machine.proc(rank).store[key] = flat.reshape(shape)
+
+
+def _fits_int64(a_shape: tuple, b_shape: tuple, grid: ProcessorGrid) -> bool:
+    """Whether the largest local product's flop count fits in int64.
+
+    The replay computes per-rank extents and products in int64; larger
+    blocks, and operands that are not matrices, take the store path,
+    whose Python ints cannot overflow and whose checks name the problem.
+    """
+    if len(a_shape) != 2 or len(b_shape) != 2:
+        return False
+    dims = (a_shape[0], a_shape[1], b_shape[1])
+    e1, e2, e3 = (-(-n // p) for n, p in zip(dims, grid.dims))
+    return e1 * e2 * e3 < 2**63
+
+
+def _replay_symbolic(
+    machine: Machine,
+    grid: ProcessorGrid,
+    shape: ProblemShape,
+    collective_algorithm: str,
+    keep_blocks: bool,
+    sr: Semiring,
+) -> Dict[str, float]:
+    """Algorithm 1 on symbolic operands as one rank-array replay.
+
+    Rank ``r`` sits at ``np.unravel_index(r, grid.dims)``, the order of
+    ``grid.rank``, so per-rank extents are gathers of the per-block
+    extents.  The fibers are rows of reshaped views of the rank cube, in
+    the order of ``grid.fibers``.  The spans, legacy records, rounds,
+    per-rank counters and flops are those of the store path; the peak
+    footprint follows the store path's put/free sequence.  Returns the
+    per-phase critical-path words.
+    """
+    p1, p2, p3 = grid.dims
+    P = grid.size
+    c1, c2, c3 = np.unravel_index(np.arange(P), grid.dims)
+    e1, e2, e3 = (block_extents(n, p) for n, p in zip(shape.dims, grid.dims))
+    a_words = e1[c1] * e2[c2]
+    b_words = e2[c2] * e3[c3]
+    d_words = e1[c1] * e3[c3]
+    a_shard = shard_sizes(a_words, p3, c3)
+    b_shard = shard_sizes(b_words, p1, c1)
+    machine.trace.record("distribute", f"inputs onto grid {grid}")
+
+    cube = np.arange(P).reshape(grid.dims)
+    phase_words: Dict[str, float] = {}
+    with machine.span("allgather-A", kind="collective") as span_a:
+        if p3 > 1:
+            G = cube.reshape(-1, p3)
+            array_allgather(machine, G, a_shard[G], collective_algorithm, "A blocks")
+    phase_words["allgather_a"] = span_a.cost.words
+
+    with machine.span("allgather-B", kind="collective") as span_b:
+        if p1 > 1:
+            G = cube.transpose(1, 2, 0).reshape(-1, p1)
+            array_allgather(machine, G, b_shard[G], collective_algorithm, "B blocks")
+    phase_words["allgather_b"] = span_b.cost.words
+
+    with machine.trace.measure("local GEMM D = A_block @ B_block", "compute"):
+        machine.compute_ranks(e1[c1] * e2[c2] * e3[c3])
+
+    with machine.span("reduce-scatter-C", kind="collective") as span_c:
+        c_words = d_words
+        if p2 > 1:
+            G = cube.transpose(0, 2, 1).reshape(-1, p2)
+            sizes = shard_sizes(d_words[G], p2, np.arange(p2))
+            array_reduce_scatter(
+                machine, G, sizes, _REDUCE_DUAL.get(collective_algorithm, collective_algorithm),
+                "C blocks", op=sr.reduce_op,
+            )
+            c_words = np.empty(P, dtype=np.int64)
+            c_words[G] = sizes
+    phase_words["reduce_scatter_c"] = span_c.cost.words
+
+    # What assemble_c checks shard by shard on the store path.
+    wrong = np.flatnonzero(c_words != shard_sizes(d_words, p2, c2))
+    if wrong.size:
+        rank = int(wrong[0])
+        raise DistributionError(
+            f"shard C_shard at {grid.coord(rank)} has {c_words[rank]} words, "
+            f"expected {shard_sizes(d_words[rank], p2, c2[rank])}"
+        )
+
+    # Footprints along the store path: shards, then both gathered blocks
+    # and D; after the GEMM the blocks go (unless kept) and C_shard joins D.
+    held = a_shard + b_shard
+    peak = held + a_words + b_words + d_words
+    if keep_blocks:
+        held = held + a_words + b_words
+    peak = np.maximum(peak, held + d_words + c_words)
+    machine.note_peak_words(int(peak.max()))
+    return phase_words
 
 
 @dataclasses.dataclass
@@ -113,73 +218,21 @@ class Alg1Result:
     attainment: Attainment
 
 
-def run_alg1(
+def _run_stores(
+    machine: Machine,
+    grid: ProcessorGrid,
     A: np.ndarray,
     B: np.ndarray,
-    grid: ProcessorGrid,
-    machine: Optional[Machine] = None,
-    collective_algorithm: str = "auto",
-    cost_model: Optional[CostModel] = None,
-    keep_blocks: bool = False,
-    final_phase: str = "reduce_scatter",
-    semiring: Optional[Semiring] = None,
-) -> Alg1Result:
-    """Run Algorithm 1 on the simulated machine.
+    collective_algorithm: str,
+    keep_blocks: bool,
+    final_phase: str,
+    sr: Semiring,
+):
+    """Algorithm 1 through the processors' stores, block by block.
 
-    Parameters
-    ----------
-    A, B:
-        Global operands (``n1 x n2`` and ``n2 x n3``).
-    grid:
-        The ``p1 x p2 x p3`` logical grid; ``grid.size`` processors are used.
-        Any grid with ``p_i <= n_i`` runs (ragged blocks are supported);
-        the cost matches expression (3) exactly when each ``p_i`` divides
-        ``n_i``.
-    machine:
-        Reuse an existing machine (counters are reset); a fresh one is
-        created by default.
-    collective_algorithm:
-        Forwarded to the All-Gather / Reduce-Scatter dispatchers
-        (``"auto"``, ``"ring"``, ``"recursive_doubling"`` /
-        ``"recursive_halving"``, or ``"bruck"`` — logarithmic-latency
-        All-Gather for *any* fiber length, with the Reduce-Scatter falling
-        back to its ``"auto"`` choice since no Bruck dual exists).  The
-        ``"bruck"`` option is what makes non-power-of-two fibers feasible
-        at very large ``P`` under the symbolic backend.
-    keep_blocks:
-        Keep the gathered ``A``/``B`` blocks in the stores after the local
-        multiply instead of freeing them (affects only peak-memory
-        reporting semantics; peak already includes them either way).
-    final_phase:
-        ``"reduce_scatter"`` (the paper's Algorithm 1, default) or
-        ``"alltoall"`` — the original Agarwal et al. (1995) formulation,
-        which exchanges the partial blocks with an All-to-All and sums
-        locally.  Identical bandwidth, but ``p2 - 1`` rounds instead of
-        the Reduce-Scatter's ``log2 p2`` — exactly the difference the
-        paper points out in Section 5.1.
-    semiring:
-        Scalar semiring for the local products and the reduction
-        (name, :class:`~repro.machine.semiring.Semiring`, or ``None`` =
-        ``plus_times``).  Costs are identical for every semiring — all
-        charges are shape-derived.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> rng = np.random.default_rng(0)
-    >>> A, B = rng.random((8, 6)), rng.random((6, 4))
-    >>> res = run_alg1(A, B, ProcessorGrid(2, 3, 2))
-    >>> bool(np.allclose(res.C, A @ B))
-    True
+    Returns the problem shape and the per-phase critical-path words; the
+    product stays distributed as every rank's ``"C_shard"``.
     """
-    A = as_block(A, dtype=float)
-    B = as_block(B, dtype=float)
-    sr = resolve_semiring(semiring)
-    if machine is None:
-        machine = Machine(grid.size, cost_model=cost_model, backend=backend_for(A, B))
-    else:
-        machine.reset()
-
     shape = distribute_inputs(machine, grid, A, B)
     n1, n2, n3 = shape.dims
     p1, p2, p3 = grid.dims
@@ -227,34 +280,18 @@ def run_alg1(
                 store.free("B_block")
 
     # ---- Line 8: Reduce-Scatter D along p2-fibers ---------------------- #
-    # The gather-phase algorithm names map onto their reduce-phase duals;
-    # Bruck has no Reduce-Scatter dual, so it falls back to "auto".
-    rs_alg = {"recursive_doubling": "recursive_halving", "bruck": "auto"}.get(
-        collective_algorithm, collective_algorithm
-    )
+    rs_alg = _REDUCE_DUAL.get(collective_algorithm, collective_algorithm)
     with machine.span("reduce-scatter-C", kind="collective") as span_c:
         if p2 > 1:
             blocks = {}
             bounds_cache = {}
-            shard_cache = {}
             for rank in range(grid.size):
                 d_flat = machine.proc(rank).store["D"].reshape(-1)
                 bounds = bounds_cache.get(d_flat.size)
                 if bounds is None:
                     bounds = [shard_bounds(d_flat.size, p2, j) for j in range(p2)]
                     bounds_cache[d_flat.size] = bounds
-                if type(d_flat) is SymbolicBlock:
-                    # Symbolic blocks are immutable value objects: every
-                    # rank with the same flat size shards into the same
-                    # descriptors, so slice once per size, not per rank,
-                    # and share the (read-only) list.
-                    shards = shard_cache.get(d_flat.size)
-                    if shards is None:
-                        shards = [d_flat[lo:hi] for lo, hi in bounds]
-                        shard_cache[d_flat.size] = shards
-                    blocks[rank] = shards
-                else:
-                    blocks[rank] = [d_flat[lo:hi] for lo, hi in bounds]
+                blocks[rank] = [d_flat[lo:hi] for lo, hi in bounds]
             if final_phase == "reduce_scatter":
                 reduced = parallel_reduce_scatter(
                     machine, grid.fibers(2), blocks, algorithm=rs_alg, label="C blocks",
@@ -288,7 +325,97 @@ def run_alg1(
             store.free("D")
     phase_words["reduce_scatter_c"] = span_c.cost.words
 
-    C = assemble_c(machine, shape, grid)
+    return shape, phase_words
+
+
+def run_alg1(
+    A: np.ndarray,
+    B: np.ndarray,
+    grid: ProcessorGrid,
+    machine: Optional[Machine] = None,
+    collective_algorithm: str = "auto",
+    cost_model: Optional[CostModel] = None,
+    keep_blocks: bool = False,
+    final_phase: str = "reduce_scatter",
+    semiring: Optional[Semiring] = None,
+) -> Alg1Result:
+    """Run Algorithm 1 on the simulated machine.
+
+    Parameters
+    ----------
+    A, B:
+        Global operands (``n1 x n2`` and ``n2 x n3``).
+    grid:
+        The ``p1 x p2 x p3`` logical grid; ``grid.size`` processors are used.
+        Any grid with ``p_i <= n_i`` runs (ragged blocks are supported);
+        the cost matches expression (3) exactly when each ``p_i`` divides
+        ``n_i``.
+    machine:
+        Reuse an existing machine (counters are reset); a fresh one is
+        created by default.  Symbolic runs on a machine with no fault
+        injector and no memory limit (and the Reduce-Scatter final phase)
+        are rank-array replays that leave the stores empty; every count
+        is that of the store path.
+    collective_algorithm:
+        Forwarded to the All-Gather / Reduce-Scatter dispatchers
+        (``"auto"``, ``"ring"``, ``"recursive_doubling"`` /
+        ``"recursive_halving"``, or ``"bruck"`` — logarithmic-latency
+        All-Gather for *any* fiber length, with the Reduce-Scatter falling
+        back to its ``"auto"`` choice since no Bruck dual exists).  The
+        ``"bruck"`` option is what makes non-power-of-two fibers feasible
+        at very large ``P`` under the symbolic backend.
+    keep_blocks:
+        Keep the gathered ``A``/``B`` blocks in the stores after the local
+        multiply instead of freeing them (affects only peak-memory
+        reporting semantics; peak already includes them either way).
+    final_phase:
+        ``"reduce_scatter"`` (the paper's Algorithm 1, default) or
+        ``"alltoall"`` — the original Agarwal et al. (1995) formulation,
+        which exchanges the partial blocks with an All-to-All and sums
+        locally.  Identical bandwidth, but ``p2 - 1`` rounds instead of
+        the Reduce-Scatter's ``log2 p2`` — exactly the difference the
+        paper points out in Section 5.1.
+    semiring:
+        Scalar semiring for the local products and the reduction
+        (name, :class:`~repro.machine.semiring.Semiring`, or ``None`` =
+        ``plus_times``).  Costs are identical for every semiring — all
+        charges are shape-derived.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> rng = np.random.default_rng(0)
+    >>> A, B = rng.random((8, 6)), rng.random((6, 4))
+    >>> res = run_alg1(A, B, ProcessorGrid(2, 3, 2))
+    >>> bool(np.allclose(res.C, A @ B))
+    True
+    """
+    A = as_block(A, dtype=float)
+    B = as_block(B, dtype=float)
+    sr = resolve_semiring(semiring)
+    if machine is None:
+        machine = Machine(grid.size, cost_model=cost_model, backend=backend_for(A, B))
+    else:
+        machine.reset()
+
+    if (
+        type(A) is SymbolicBlock
+        and type(B) is SymbolicBlock
+        and machine.network.fault_injector is None
+        and machine.memory_limit is None
+        and final_phase == "reduce_scatter"
+        and _fits_int64(A.shape, B.shape, grid)
+    ):
+        shape = check_operands(machine, grid, A, B)
+        phase_words = _replay_symbolic(
+            machine, grid, shape, collective_algorithm, keep_blocks, sr
+        )
+        C = SymbolicBlock((shape.n1, shape.n3))
+    else:
+        shape, phase_words = _run_stores(
+            machine, grid, A, B, collective_algorithm, keep_blocks, final_phase, sr
+        )
+        C = assemble_c(machine, shape, grid)
     return Alg1Result(
         C=C,
         shape=shape,

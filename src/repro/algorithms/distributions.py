@@ -28,14 +28,17 @@ import numpy as np
 
 from ..core.shapes import ProblemShape
 from ..exceptions import DistributionError
-from ..machine.backend import SymbolicBlock, as_block, empty_block
+from ..machine.backend import as_block, empty_block
 from ..machine.machine import Machine
 from .grid import ProcessorGrid
 
 __all__ = [
     "block_bounds",
+    "block_extents",
     "block_of",
     "shard_bounds",
+    "shard_sizes",
+    "check_operands",
     "distribute_inputs",
     "expected_shard_words",
     "shards_divide_evenly",
@@ -62,6 +65,15 @@ def block_bounds(extent: int, parts: int, index: int) -> Tuple[int, int]:
     return lo, hi
 
 
+def block_extents(extent: int, parts: int) -> np.ndarray:
+    """Sizes of all ``parts`` blocks of :func:`block_bounds`, as an int64 array."""
+    if parts < 1 or parts > extent:
+        raise DistributionError(
+            f"cannot split extent {extent} into {parts} non-empty blocks"
+        )
+    return shard_sizes(extent, parts, np.arange(parts))
+
+
 def block_of(matrix: np.ndarray, parts: Tuple[int, int], index: Tuple[int, int]) -> np.ndarray:
     """The 2D block of ``matrix`` at block-index ``index`` of a
     ``parts[0] x parts[1]`` blocking (a view, not a copy)."""
@@ -83,6 +95,13 @@ def shard_bounds(words: int, parts: int, index: int) -> Tuple[int, int]:
     lo = index * base + min(index, extra)
     hi = lo + base + (1 if index < extra else 0)
     return lo, hi
+
+
+def shard_sizes(words, parts: int, index) -> np.ndarray:
+    """Sizes ``hi - lo`` of :func:`shard_bounds`, vectorised over ``words``
+    and ``index`` (int64 arrays or scalars, broadcast together)."""
+    base, extra = np.divmod(np.asarray(words, dtype=np.int64), parts)
+    return base + (np.asarray(index) < extra)
 
 
 def expected_shard_words(shape: ProblemShape, grid: ProcessorGrid) -> Dict[str, float]:
@@ -122,25 +141,16 @@ def shards_divide_evenly(shape: ProblemShape, grid: ProcessorGrid) -> bool:
     )
 
 
-def distribute_inputs(
-    machine: Machine,
-    grid: ProcessorGrid,
-    A: np.ndarray,
-    B: np.ndarray,
+def check_operands(
+    machine: Machine, grid: ProcessorGrid, A: np.ndarray, B: np.ndarray
 ) -> ProblemShape:
-    """Place one copy of ``A`` and ``B`` into the processors' stores.
+    """The problem shape of ``A @ B``, after checking it fits ``grid`` and ``machine``.
 
-    Each processor ``(c1, c2, c3)`` receives
-
-    * ``"A_shard"``: shard ``c3`` of the flattened block ``A[c1, c2]``;
-    * ``"B_shard"``: shard ``c1`` of the flattened block ``B[c2, c3]``.
-
-    This is the algorithm's *assumed initial distribution* — the lower
-    bound allows the algorithm to pick it (Section 5) — so no
-    communication is charged.  Returns the problem shape.
-
-    With symbolic operands every distinct shard descriptor is built once
-    per (block shape, shard index) and shared by the ranks that hold it.
+    Raises
+    ------
+    DistributionError
+        When the operands do not multiply, a ``p_i`` exceeds ``n_i``, or
+        the machine's size is not the grid's.
     """
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
         raise DistributionError(
@@ -157,12 +167,27 @@ def distribute_inputs(
         raise DistributionError(
             f"machine has {machine.n_procs} processors but grid {grid} needs {grid.size}"
         )
+    return shape
 
-    if type(A) is SymbolicBlock and type(B) is SymbolicBlock:
-        _distribute_symbolic(machine, grid, shape)
-        machine.trace.record("distribute", f"inputs onto grid {grid}")
-        return shape
 
+def distribute_inputs(
+    machine: Machine,
+    grid: ProcessorGrid,
+    A: np.ndarray,
+    B: np.ndarray,
+) -> ProblemShape:
+    """Place one copy of ``A`` and ``B`` into the processors' stores.
+
+    Each processor ``(c1, c2, c3)`` receives
+
+    * ``"A_shard"``: shard ``c3`` of the flattened block ``A[c1, c2]``;
+    * ``"B_shard"``: shard ``c1`` of the flattened block ``B[c2, c3]``.
+
+    This is the algorithm's *assumed initial distribution* — the lower
+    bound allows the algorithm to pick it (Section 5) — so no
+    communication is charged.  Returns the problem shape.
+    """
+    shape = check_operands(machine, grid, A, B)
     for rank in range(grid.size):
         c1, c2, c3 = grid.coord(rank)
         a_block = block_of(A, (grid.p1, grid.p2), (c1, c2)).reshape(-1)
@@ -175,30 +200,6 @@ def distribute_inputs(
 
     machine.trace.record("distribute", f"inputs onto grid {grid}")
     return shape
-
-
-def _distribute_symbolic(machine: Machine, grid: ProcessorGrid, shape: ProblemShape) -> None:
-    """:func:`distribute_inputs` for symbolic operands: shapes only."""
-    extents = [
-        [hi - lo for lo, hi in (block_bounds(n, parts, c) for c in range(parts))]
-        for n, parts in zip(shape.dims, grid.dims)
-    ]
-    cache: Dict[Tuple[int, int, int, int], SymbolicBlock] = {}
-
-    def shard(rows: int, cols: int, parts: int, index: int) -> SymbolicBlock:
-        key = (rows, cols, parts, index)
-        block = cache.get(key)
-        if block is None:
-            lo, hi = shard_bounds(rows * cols, parts, index)
-            block = cache[key] = SymbolicBlock((hi - lo,))
-        return block
-
-    e1, e2, e3 = extents
-    for rank in range(grid.size):
-        c1, c2, c3 = grid.coord(rank)
-        store = machine.proc(rank).store
-        store["A_shard"] = shard(e1[c1], e2[c2], grid.p3, c3)
-        store["B_shard"] = shard(e2[c2], e3[c3], grid.p1, c1)
 
 
 def assemble_c(

@@ -36,6 +36,7 @@ __all__ = [
     "check_grid_projections",
     "cross_check_backends",
     "cross_check_oracle",
+    "machine_accounting",
     "relative_gap",
 ]
 
@@ -110,6 +111,37 @@ class BackendCrossCheck:
     verified_numerics: bool
 
 
+#: The per-rank vectors every event span carries.
+_RANK_VECTORS = ("sent_words", "recv_words", "sent_messages", "recv_messages", "flops")
+
+
+def machine_accounting(machine) -> Dict[str, object]:
+    """Everything a run charged to ``machine``, as plain comparable values.
+
+    The machine's cost, its per-rank counter vectors, the number of
+    logged rounds, the per-link ``edge_words``, one tuple per event span
+    (name, kind, groups, cost, then the per-rank vectors) and the peak
+    memory.  Two runs accounted identically give equal dicts.
+    """
+    net = machine.network
+    return {
+        "cost": machine.cost,
+        "sent_words": tuple(net.sent_words.tolist()),
+        "recv_words": tuple(net.recv_words.tolist()),
+        "sent_messages": tuple(net.sent_messages.tolist()),
+        "recv_messages": tuple(net.recv_messages.tolist()),
+        "flops": tuple(machine.flops.tolist()),
+        "logged_rounds": len(net.round_log),
+        "edge_words": net.edge_words,
+        "events": [
+            (e.name, e.kind, e.groups, e.cost)
+            + tuple(tuple(np.asarray(getattr(e, f)).tolist()) for f in _RANK_VECTORS)
+            for e in machine.trace.recorder.events()
+        ],
+        "peak_memory": machine.peak_memory_words(),
+    }
+
+
 def cross_check_backends(
     algorithm: str,
     shape: ProblemShape,
@@ -123,10 +155,14 @@ def cross_check_backends(
     The data run uses real seeded operands (and its product is verified
     against the requested semiring's dense reference — ``numpy`` matmul
     for ``plus_times``, the broadcast distance product for ``min_plus``);
-    the symbolic run uses shape descriptors only.  The two executions
-    share every schedule, so their Cost, per-rank ``sent_words`` /
-    ``recv_words`` / ``flops`` vectors, bound-attainment ratio and peak
-    memory must be *exactly* equal — word-for-word, not approximately.
+    the symbolic run uses shape descriptors only (and may take an array
+    replay instead of the Message schedules).  The whole accounting must
+    be *exactly* equal — word-for-word, not approximately: the Cost, the
+    per-rank ``sent_words`` / ``recv_words`` / ``sent_messages`` /
+    ``recv_messages`` / ``flops`` vectors, the number of logged rounds,
+    the per-link ``edge_words``, every event span's name, kind, groups,
+    cost and per-rank vectors, the bound-attainment ratio and the peak
+    memory.
 
     Raises
     ------
@@ -160,16 +196,12 @@ def cross_check_backends(
     )
 
     def counters(run):
-        m = run.machine
-        return {
-            "cost": run.cost,
-            "sent_words": tuple(m.network.sent_words),
-            "recv_words": tuple(m.network.recv_words),
-            "flops": tuple(p.flops for p in m.processors),
-            "attainment_ratio": run.attainment.ratio,
-            "peak_memory": m.peak_memory_words(),
-            "semiring": run.semiring,
-        }
+        return dict(
+            machine_accounting(run.machine),
+            cost=run.cost,
+            attainment_ratio=run.attainment.ratio,
+            semiring=run.semiring,
+        )
 
     d, s = counters(data), counters(symbolic)
     for key in d:

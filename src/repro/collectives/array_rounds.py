@@ -20,8 +20,14 @@ the closed forms in :mod:`repro.analysis.oracle` and
 :mod:`repro.analysis.oracle_vec`, so the oracle stays an independent
 witness of the simulator.
 
-:func:`replay_allgather` and :func:`replay_reduce_scatter` return ``None``
-whenever the replay does not apply — a fault injector is attached, a chunk
+:func:`allgather_replay` and :func:`reduce_scatter_replay` are the core:
+they take the ``(G, S)`` arrays, resolve the algorithm, refuse what the
+Message schedules refuse, and return an :class:`ArrayReplay`.  Algorithm 1
+builds its fiber arrays directly and calls them (see
+:func:`repro.collectives.communicator.array_allgather`); the adapters
+:func:`replay_allgather` and :func:`replay_reduce_scatter` build the arrays
+from ``rank -> block`` mappings, and return ``None`` whenever the replay
+does not apply — a fault injector is attached, a chunk
 is not symbolic, the groups differ in size, or the input is malformed
 (overlapping groups, mismatched blocks) — and the caller then runs the
 Message schedules, which raise their own typed errors on malformed input.
@@ -42,7 +48,13 @@ from .ops import resolve_op
 from .reduce_scatter import resolve_reduce_scatter_algorithm
 from .schedules import is_power_of_two
 
-__all__ = ["ArrayReplay", "replay_allgather", "replay_reduce_scatter"]
+__all__ = [
+    "ArrayReplay",
+    "allgather_replay",
+    "reduce_scatter_replay",
+    "replay_allgather",
+    "replay_reduce_scatter",
+]
 
 Round = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -66,9 +78,8 @@ class ArrayReplay:
         machine.network.execute_array_rounds(self.rounds, tag=self.tag)
         if self.flops is not None:
             # Per-rank flop totals are sums of whole block sizes, so one
-            # charge equals the Message path's per-block charges exactly.
-            for rank, f in zip(self.ranks.ravel().tolist(), self.flops.ravel().tolist()):
-                machine.compute(rank, float(f))
+            # array charge equals the Message path's per-block charges.
+            machine.compute_ranks(self.flops.ravel(), self.ranks.ravel())
         return self.result
 
 
@@ -172,6 +183,56 @@ _REDUCE_SCATTER_ROUNDS = {
 # ---------------------------------------------------------------------- #
 
 
+def _check_power_of_two(p: int, name: str) -> None:
+    # The Message schedules' own refusal, word for word.
+    if not is_power_of_two(p):
+        raise CommunicatorError(f"{name} requires a power-of-two group, got p={p}")
+
+
+def allgather_replay(
+    G: np.ndarray, S: np.ndarray, algorithm: str = "auto", result=None
+) -> ArrayReplay:
+    """The All-Gather over the ``F x p`` rank array ``G`` with chunk sizes ``S``.
+
+    Resolves ``algorithm`` for groups of ``p`` members and refuses what the
+    Message schedule refuses (recursive doubling on a non-power-of-two
+    ``p``) before any round runs.  ``result`` is what :meth:`ArrayReplay.run`
+    returns (an empty dict by default).
+    """
+    name = resolve_allgather_algorithm(algorithm, G.shape[1])
+    if name == "recursive_doubling":
+        _check_power_of_two(G.shape[1], "recursive-doubling allgather")
+    return ArrayReplay(
+        _ALLGATHER_ROUNDS[name](G, S), {} if result is None else result, "allgather"
+    )
+
+
+def reduce_scatter_replay(
+    G: np.ndarray, B: np.ndarray, algorithm: str = "auto", op="sum", result=None
+) -> ArrayReplay:
+    """The Reduce-Scatter over the ``F x p`` rank array ``G`` with block sizes ``B``.
+
+    ``B[f, j]`` is the size of block ``j`` in every member of group ``f``.
+    Resolves ``op`` and ``algorithm`` and refuses a non-power-of-two
+    recursive halving before any round runs; the reduction flops (one per
+    received word) are charged per rank after the last round.
+    """
+    resolve_op(op)
+    name = resolve_reduce_scatter_algorithm(algorithm, G.shape[1])
+    if name == "recursive_halving":
+        _check_power_of_two(G.shape[1], "recursive-halving reduce-scatter")
+    flops = np.zeros(G.shape, dtype=np.int64)
+    rounds = _REDUCE_SCATTER_ROUNDS[name](G, B, flops)
+    return ArrayReplay(
+        rounds, {} if result is None else result, "reduce-scatter", G, flops
+    )
+
+
+# ---------------------------------------------------------------------- #
+# adapters from rank -> block mappings                                   #
+# ---------------------------------------------------------------------- #
+
+
 def _first_rank(machine: Machine, groups: Sequence[Sequence[int]]) -> Optional[int]:
     """The first group's first rank, or ``None`` when no replay may run.
 
@@ -190,12 +251,6 @@ def _rank_array(groups: Sequence[Sequence[int]]) -> Optional[np.ndarray]:
         return None
     G = np.array([tuple(g) for g in groups], dtype=np.int64)
     return G if len(np.unique(G)) == G.size else None
-
-
-def _check_power_of_two(p: int, name: str) -> None:
-    # The Message schedules' own refusal, word for word.
-    if not is_power_of_two(p):
-        raise CommunicatorError(f"{name} requires a power-of-two group, got p={p}")
 
 
 def replay_allgather(
@@ -225,11 +280,7 @@ def replay_allgather(
                 return None
         sizes.append([chunk.size for chunk in gathered])
         result.update(dict.fromkeys(g, gathered))
-    name = resolve_allgather_algorithm(algorithm, G.shape[1])
-    if name == "recursive_doubling":
-        _check_power_of_two(G.shape[1], "recursive-doubling allgather")
-    S = np.array(sizes, dtype=np.int64)
-    return ArrayReplay(_ALLGATHER_ROUNDS[name](G, S), result, "allgather")
+    return allgather_replay(G, np.array(sizes, dtype=np.int64), algorithm, result)
 
 
 def replay_reduce_scatter(
@@ -243,8 +294,7 @@ def replay_reduce_scatter(
 
     Member ``j`` of a group receives the reduction of block ``j``; under
     the symbolic backend that is a block of block ``j``'s shape, so the
-    replay returns the member's own block ``j``.  The reduction flops
-    (one per received word) are charged per rank after the last round.
+    replay returns the member's own block ``j``.
     """
     first = _first_rank(machine, groups)
     if first is None or not len(blocks[first]) or type(blocks[first][0]) is not SymbolicBlock:
@@ -252,36 +302,24 @@ def replay_reduce_scatter(
     G = _rank_array(groups)
     if G is None:
         return None
-    # Ranks often share one list of shard descriptors (alg1 slices each
-    # distinct block size once), so describe each distinct list once.
-    shapes_of: Dict[int, Optional[tuple]] = {}
-
-    def shapes(lst: Sequence[Any]) -> Optional[tuple]:
-        key = id(lst)
-        if key not in shapes_of:
-            ok = all(type(b) is SymbolicBlock for b in lst)
-            shapes_of[key] = tuple(b.shape for b in lst) if ok else None
-        return shapes_of[key]
-
     sizes: List[List[int]] = []
     result: Dict[int, Any] = {}
     for g in groups:
-        ref = blocks[g[0]]
-        ref_shapes = shapes(ref)
-        if ref_shapes is None or len(ref_shapes) != len(g):
-            return None
-        for r in g[1:]:
+        ref_shapes = None
+        for r in g:
             lst = blocks[r]
-            if lst is not ref and shapes(lst) != ref_shapes:
+            if not all(type(b) is SymbolicBlock for b in lst):
                 return None
-        sizes.append([b.size for b in ref])
+            shapes = [b.shape for b in lst]
+            if ref_shapes is None:
+                ref_shapes = shapes
+            elif shapes != ref_shapes:
+                return None
+        if len(ref_shapes) != len(g):
+            return None
+        sizes.append([b.size for b in blocks[g[0]]])
         for j, r in enumerate(g):
             result[r] = blocks[r][j]
-    resolve_op(op)
-    name = resolve_reduce_scatter_algorithm(algorithm, G.shape[1])
-    if name == "recursive_halving":
-        _check_power_of_two(G.shape[1], "recursive-halving reduce-scatter")
-    B = np.array(sizes, dtype=np.int64)
-    flops = np.zeros(G.shape, dtype=np.int64)
-    rounds = _REDUCE_SCATTER_ROUNDS[name](G, B, flops)
-    return ArrayReplay(rounds, result, "reduce-scatter", G, flops)
+    return reduce_scatter_replay(
+        G, np.array(sizes, dtype=np.int64), algorithm, op, result
+    )

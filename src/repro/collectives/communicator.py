@@ -23,7 +23,13 @@ from ..machine.machine import Machine
 from .allgather import allgather_schedule
 from .allreduce import allreduce_schedule
 from .alltoall import alltoall_schedule
-from .array_rounds import replay_allgather, replay_reduce_scatter
+from .array_rounds import (
+    ArrayReplay,
+    allgather_replay,
+    reduce_scatter_replay,
+    replay_allgather,
+    replay_reduce_scatter,
+)
 from .barrier import barrier_dissemination
 from .broadcast import broadcast_schedule
 from .gather import gather_schedule
@@ -53,6 +59,8 @@ __all__ = [
     "parallel_broadcast",
     "parallel_allreduce",
     "parallel_alltoall",
+    "array_allgather",
+    "array_reduce_scatter",
 ]
 
 
@@ -241,6 +249,13 @@ def _measure(machine: Machine, groups: Sequence[Sequence[int]], kind: str, label
     return machine.trace.measure(label, kind, groups=tuple(tuple(g) for g in groups))
 
 
+def _run_replay(
+    machine: Machine, groups, kind: str, label: str, replay: ArrayReplay
+) -> Dict[int, Any]:
+    with _measure(machine, groups, kind, label):
+        return replay.run(machine)
+
+
 def _run_parallel(
     machine: Machine,
     schedules: List[Schedule],
@@ -272,8 +287,7 @@ def parallel_allgather(
     """
     replay = replay_allgather(machine, groups, chunks, algorithm)
     if replay is not None:
-        with _measure(machine, groups, "allgather", label):
-            return replay.run(machine)
+        return _run_replay(machine, groups, "allgather", label, replay)
     schedules = [
         allgather_schedule(g, {r: chunks[r] for r in g}, algorithm=algorithm) for g in groups
     ]
@@ -300,8 +314,9 @@ def parallel_reduce_scatter(
     """
     replay = replay_reduce_scatter(machine, groups, blocks, algorithm, op)
     if replay is not None:
-        with _measure(machine, groups, "reduce-scatter", _reduce_label(label, op)):
-            return replay.run(machine)
+        return _run_replay(
+            machine, groups, "reduce-scatter", _reduce_label(label, op), replay
+        )
     schedules = [
         reduce_scatter_schedule(
             g, {r: blocks[r] for r in g}, machine=machine, algorithm=algorithm, op=op
@@ -315,6 +330,43 @@ def parallel_reduce_scatter(
     for res in results:
         merged.update(res)
     return merged
+
+
+def array_allgather(
+    machine: Machine,
+    G: np.ndarray,
+    sizes: np.ndarray,
+    algorithm: str = "auto",
+    label: str = "",
+) -> None:
+    """:func:`parallel_allgather` given as arrays, with no blocks at all.
+
+    Group ``f`` is row ``f`` of the ``F x p`` rank array ``G`` and its
+    members' chunks hold ``sizes[f]`` words.  Runs the array replay on a
+    fault-free machine and records the same event span; nothing is
+    returned, since symbolic results are shapes the caller already knows.
+    """
+    replay = allgather_replay(G, sizes, algorithm)
+    _run_replay(machine, G.tolist(), "allgather", label, replay)
+
+
+def array_reduce_scatter(
+    machine: Machine,
+    G: np.ndarray,
+    sizes: np.ndarray,
+    algorithm: str = "auto",
+    label: str = "",
+    op="sum",
+) -> None:
+    """:func:`parallel_reduce_scatter` given as arrays, with no blocks at all.
+
+    Every member of group ``f`` (row ``f`` of ``G``) holds ``p`` blocks of
+    ``sizes[f]`` words; member ``j`` ends with block ``j`` reduced.  Runs
+    the array replay on a fault-free machine, charges the reduction flops
+    and records the same event span as the block path.
+    """
+    replay = reduce_scatter_replay(G, sizes, algorithm, op)
+    _run_replay(machine, G.tolist(), "reduce-scatter", _reduce_label(label, op), replay)
 
 
 def parallel_broadcast(

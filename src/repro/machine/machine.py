@@ -1,12 +1,20 @@
 """The simulated distributed-memory machine.
 
-:class:`Machine` bundles ``P`` :class:`~repro.machine.processor.Processor`
-objects, a :class:`~repro.machine.network.FullyConnectedNetwork`, a
-:class:`~repro.machine.cost.CostModel` and a
-:class:`~repro.machine.trace.Trace`.  Algorithms obtain communicators from
-it (see :mod:`repro.collectives.communicator`) and all data movement flows
-through :meth:`Machine.exchange`, so cost accounting is complete by
-construction.
+:class:`Machine` bundles a :class:`~repro.machine.network.FullyConnectedNetwork`,
+the per-rank flop counters, a :class:`~repro.machine.cost.CostModel`, a
+:class:`~repro.machine.trace.Trace` and up to ``P``
+:class:`~repro.machine.processor.Processor` objects, each created with its
+store on the first :meth:`Machine.proc` call for its rank.  Algorithms
+obtain communicators from it (see :mod:`repro.collectives.communicator`)
+and all data movement flows through :meth:`Machine.exchange` or the
+network's array rounds, so cost accounting is complete by construction.
+
+Per-rank counters are arrays: the network's ``sent_words`` /
+``recv_words`` (float64) and ``sent_messages`` / ``recv_messages``
+(int64), and :attr:`Machine.flops` (float64).  Snapshots copy them, deltas
+subtract them, and the cost, conservation and skew queries reduce them.
+Every entry is a whole number below ``2**53``, so array sums are exact in
+any order.
 
 Design notes
 ------------
@@ -27,6 +35,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Iterable, List, Optional
 
+import numpy as np
+
 from ..exceptions import FaultDetectedError
 from ..obs.metrics import MetricsRegistry
 from .backend import Backend, resolve_backend
@@ -40,33 +50,34 @@ from .trace import Trace
 __all__ = ["Machine", "CounterSnapshot"]
 
 
-def _pairwise_delta(name: str, before: tuple, after: tuple) -> tuple:
-    """``after - before`` element-wise; both sides must cover the same ranks."""
+def _pairwise_delta(name: str, before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """``after - before``; both sides must cover the same ranks."""
     if len(before) != len(after):
         raise ValueError(
             f"cannot diff {name}: snapshots cover {len(before)} vs "
             f"{len(after)} ranks (snapshots from different machines?)"
         )
-    return tuple(b - a for a, b in zip(before, after))
+    return after - before
 
 
 @dataclasses.dataclass(frozen=True)
 class CounterSnapshot:
     """Immutable snapshot of a machine's cumulative counters.
 
-    The fault counters (``faults_injected``, ``retries``, ``words_resent``)
-    come from the attached fault injector and stay zero on fault-free
-    machines, so snapshots and their deltas are unchanged by the fault
-    layer unless faults actually happen.
+    The per-rank fields are array copies (float64 words and flops, int64
+    message counts).  The fault counters (``faults_injected``, ``retries``,
+    ``words_resent``) come from the attached fault injector and stay zero
+    on fault-free machines, so snapshots and their deltas are unchanged by
+    the fault layer unless faults actually happen.
     """
 
     cost: Cost
     total_words: float
-    sent_words: tuple
-    recv_words: tuple
-    flops: tuple
-    sent_messages: tuple = ()
-    recv_messages: tuple = ()
+    sent_words: np.ndarray
+    recv_words: np.ndarray
+    flops: np.ndarray
+    sent_messages: np.ndarray
+    recv_messages: np.ndarray
     faults_injected: int = 0
     retries: int = 0
     words_resent: float = 0.0
@@ -79,8 +90,7 @@ class CounterSnapshot:
         Raises
         ------
         ValueError
-            If the two snapshots cover different processor counts (the
-            per-rank tuples would otherwise be silently truncated).
+            If the two snapshots cover different processor counts.
         """
         return CounterSnapshot(
             cost=later.cost - self.cost,
@@ -153,9 +163,12 @@ class Machine:
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.memory_limit = memory_limit
         self.backend = resolve_backend(backend)
-        self.processors: List[Processor] = [
-            Processor(rank, memory_limit=memory_limit) for rank in range(n_procs)
-        ]
+        #: Arithmetic operations performed so far, per rank (see
+        #: :class:`~repro.machine.processor.Processor` for what counts).
+        self.flops = np.zeros(n_procs)
+        self._processors: Dict[int, Processor] = {}
+        # Largest footprint of an array replay that kept no stores.
+        self._replay_peak_words = 0
         self.network = FullyConnectedNetwork(n_procs)
         if faults is not None:
             self.network.fault_injector = coerce_injector(faults)
@@ -169,10 +182,20 @@ class Machine:
     # ------------------------------------------------------------------ #
 
     def proc(self, rank: int) -> Processor:
-        """The processor with the given global rank."""
-        if not 0 <= rank < self.n_procs:
-            raise IndexError(f"rank {rank} outside 0..{self.n_procs - 1}")
-        return self.processors[rank]
+        """The processor with the given global rank (created on first use)."""
+        processor = self._processors.get(rank)
+        if processor is None:
+            if not 0 <= rank < self.n_procs:
+                raise IndexError(f"rank {rank} outside 0..{self.n_procs - 1}")
+            processor = self._processors[rank] = Processor(
+                rank, self.flops, memory_limit=self.memory_limit
+            )
+        return processor
+
+    @property
+    def processors(self) -> List[Processor]:
+        """All ``P`` processors in rank order (creates the missing ones)."""
+        return [self.proc(rank) for rank in range(self.n_procs)]
 
     def comm_world(self):
         """A communicator over all ``P`` processors.
@@ -195,7 +218,25 @@ class Machine:
 
     def compute(self, rank: int, flops: float) -> None:
         """Charge ``flops`` arithmetic operations to processor ``rank``."""
-        self.proc(rank).compute(flops)
+        if not 0 <= rank < self.n_procs:
+            raise IndexError(f"rank {rank} outside 0..{self.n_procs - 1}")
+        if flops < 0:
+            raise ValueError(f"flops must be non-negative, got {flops}")
+        self.flops[rank] += flops
+
+    def compute_ranks(self, flops: np.ndarray, ranks: Optional[np.ndarray] = None) -> None:
+        """Charge ``flops[k]`` operations to rank ``ranks[k]`` in one array add.
+
+        ``ranks`` must not repeat a rank; ``None`` means every rank in
+        order, with ``flops`` of length ``P``.
+        """
+        flops = np.asarray(flops, dtype=np.float64)
+        if flops.size and flops.min() < 0:
+            raise ValueError(f"flops must be non-negative, got {flops.min()}")
+        if ranks is None:
+            self.flops += flops
+        else:
+            self.flops[ranks] += flops
 
     def span(self, name: str, kind: str = "phase", groups=()):
         """Open a nested, auto-measured trace span (context manager).
@@ -219,8 +260,7 @@ class Machine:
         """Cumulative critical-path cost: network rounds/words plus the
         *maximum* per-processor flop count (compute proceeds in parallel)."""
         comm = self.network.cost
-        max_flops = max((p.flops for p in self.processors), default=0.0)
-        return Cost(rounds=comm.rounds, words=comm.words, flops=max_flops)
+        return Cost(rounds=comm.rounds, words=comm.words, flops=float(self.flops.max()))
 
     @property
     def time(self) -> float:
@@ -247,8 +287,8 @@ class Machine:
         FaultDetectedError
             On imbalance, reporting both sums and the drift.
         """
-        sent = sum(self.network.sent_words)
-        recv = sum(self.network.recv_words)
+        sent = float(self.network.sent_words.sum())
+        recv = float(self.network.recv_words.sum())
         if abs(sent - recv) > 1e-9 * max(1.0, abs(sent)):
             raise FaultDetectedError(
                 f"conservation violated: sum(sent_words)={sent:g} but "
@@ -262,11 +302,11 @@ class Machine:
         return CounterSnapshot(
             cost=self.cost,
             total_words=self.network.total_words,
-            sent_words=tuple(self.network.sent_words),
-            recv_words=tuple(self.network.recv_words),
-            flops=tuple(p.flops for p in self.processors),
-            sent_messages=tuple(self.network.sent_messages),
-            recv_messages=tuple(self.network.recv_messages),
+            sent_words=self.network.sent_words.copy(),
+            recv_words=self.network.recv_words.copy(),
+            flops=self.flops.copy(),
+            sent_messages=self.network.sent_messages.copy(),
+            recv_messages=self.network.recv_messages.copy(),
             faults_injected=0 if injector is None else injector.faults_injected,
             retries=0 if injector is None else injector.retries,
             words_resent=0.0 if injector is None else injector.words_resent,
@@ -279,21 +319,37 @@ class Machine:
     def reset_counters(self) -> None:
         """Zero all cost counters, the trace and metrics; stores keep data."""
         self.network.reset()
-        for p in self.processors:
-            p.reset_counters()
+        self.flops.fill(0.0)
         self.trace.clear()
         self.metrics.reset()
 
     def reset(self) -> None:
         """Full reset: counters, trace, and every processor's store."""
         self.reset_counters()
-        for p in self.processors:
+        for p in self._processors.values():
             p.store.clear()
             p.store.reset_peak()
+        self._replay_peak_words = 0
 
     def peak_memory_words(self) -> int:
-        """Largest peak store footprint over all processors."""
-        return max(p.store.peak_words for p in self.processors)
+        """Largest peak footprint over all processors.
+
+        Covers the stores of the processors created so far and the peaks
+        noted by array replays (:meth:`note_peak_words`); a processor never
+        created never held a word.
+        """
+        stores = (p.store.peak_words for p in self._processors.values())
+        return max(self._replay_peak_words, max(stores, default=0))
+
+    def note_peak_words(self, peak: int) -> None:
+        """Record the largest per-rank footprint of a run that kept no stores.
+
+        Array replays compute every rank's footprint from the put/free
+        sequence the store path would perform and report its maximum here,
+        so :meth:`peak_memory_words` answers as if the stores had been
+        used.  Cleared by :meth:`reset`.
+        """
+        self._replay_peak_words = max(self._replay_peak_words, int(peak))
 
     def rank_skew(self, counter: str = "sent_words"):
         """Load-imbalance summary of a per-rank counter vector.
@@ -310,25 +366,21 @@ class Machine:
         from ..obs.metrics import rank_skew
 
         if counter == "flops":
-            totals = [p.flops for p in self.processors]
+            totals = self.flops
         elif counter in ("sent_words", "recv_words"):
-            totals = list(getattr(self.network, counter))
+            totals = getattr(self.network, counter)
         else:
             raise ValueError(
                 f"unknown counter {counter!r}; expected 'sent_words', "
                 f"'recv_words' or 'flops'"
             )
-        span_sums = [0.0] * self.n_procs
+        span_sums = np.zeros(self.n_procs)
         for event in self.trace.recorder.events():
             per_rank = getattr(event, counter)
             if len(per_rank) == self.n_procs:
-                for rank, value in enumerate(per_rank):
-                    span_sums[rank] += value
-        drift = any(
-            abs(a - b) > 1e-9 * max(1.0, abs(b))
-            for a, b in zip(span_sums, totals)
-        )
-        return rank_skew(totals if drift else span_sums)
+                span_sums += per_rank
+        drift = np.abs(span_sums - totals) > 1e-9 * np.maximum(1.0, np.abs(totals))
+        return rank_skew(totals if drift.any() else span_sums)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

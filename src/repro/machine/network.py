@@ -26,6 +26,10 @@ so their measured cost is exactly what the paper's analysis predicts.
 semantics for payload-free replays (symbolic blocks on a fault-free
 machine): each round is three int arrays ``(src, dest, words)``, validated
 with two ``np.bincount`` calls and charged to the same counters.
+
+The per-rank counters are numpy arrays (float64 words, int64 message
+counts).  Every value is a whole number below ``2**53``, so sums are exact
+in any order and an array fold equals the per-message additions.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ class RoundSummary:
     __slots__ = ("index", "n_messages", "max_words", "total_words", "tags")
 
     def __init__(self, index: int, messages: Sequence[Message]) -> None:
+        words = [m.words for m in messages]
         self.index = index
         self.n_messages = len(messages)
-        self.max_words = max((m.words for m in messages), default=0)
-        self.total_words = sum(m.words for m in messages)
+        self.max_words = max(words, default=0)
+        self.total_words = sum(words)
         self.tags = tuple(sorted({m.tag for m in messages if m.tag}))
 
     @classmethod
@@ -108,10 +113,14 @@ class FullyConnectedNetwork:
         self.rounds: int = 0
         self.critical_words: float = 0.0
         self.total_words: float = 0.0
-        self.sent_words: List[float] = [0.0] * self.n_procs
-        self.recv_words: List[float] = [0.0] * self.n_procs
-        self.sent_messages: List[int] = [0] * self.n_procs
-        self.recv_messages: List[int] = [0] * self.n_procs
+        self.sent_words = np.zeros(self.n_procs)
+        self.recv_words = np.zeros(self.n_procs)
+        self.sent_messages = np.zeros(self.n_procs, dtype=np.int64)
+        self.recv_messages = np.zeros(self.n_procs, dtype=np.int64)
+        # Memoryviews of the four arrays: a per-message ``view[rank] += w``
+        # costs about half of a numpy scalar update.
+        self._views = tuple(memoryview(a) for a in (
+            self.sent_words, self.recv_words, self.sent_messages, self.recv_messages))
         self.round_log: List[RoundSummary] = []
         self._edge_words: Dict[tuple, float] = {}
         # Array rounds' traffic, as (first-seen-ordered link keys
@@ -145,32 +154,34 @@ class FullyConnectedNetwork:
         processor must *access*, which our verification layer compares with
         ``recv_words`` + initially owned data.
         """
-        return self.sent_words[rank] + self.recv_words[rank]
+        return float(self.sent_words[rank] + self.recv_words[rank])
 
     # ------------------------------------------------------------------ #
     # round execution                                                    #
     # ------------------------------------------------------------------ #
 
     def _validate_round(self, messages: Sequence[Message]) -> None:
+        n = self.n_procs
         senders: Dict[int, Message] = {}
         receivers: Dict[int, Message] = {}
         for msg in messages:
-            if not (0 <= msg.src < self.n_procs and 0 <= msg.dest < self.n_procs):
+            src, dest = msg.src, msg.dest
+            if not (0 <= src < n and 0 <= dest < n):
                 raise NetworkContentionError(
-                    f"message {msg!r} references a rank outside 0..{self.n_procs - 1}"
+                    f"message {msg!r} references a rank outside 0..{n - 1}"
                 )
-            if msg.src in senders:
+            if src in senders:
                 raise NetworkContentionError(
-                    f"processor {msg.src} attempts two sends in one round: "
-                    f"{senders[msg.src]!r} and {msg!r}"
+                    f"processor {src} attempts two sends in one round: "
+                    f"{senders[src]!r} and {msg!r}"
                 )
-            if msg.dest in receivers:
+            if dest in receivers:
                 raise NetworkContentionError(
-                    f"processor {msg.dest} attempts two receives in one round: "
-                    f"{receivers[msg.dest]!r} and {msg!r}"
+                    f"processor {dest} attempts two receives in one round: "
+                    f"{receivers[dest]!r} and {msg!r}"
                 )
-            senders[msg.src] = msg
-            receivers[msg.dest] = msg
+            senders[src] = msg
+            receivers[dest] = msg
 
     def execute_round(self, messages: Iterable[Message]) -> Dict[int, Any]:
         """Execute one communication round.
@@ -196,22 +207,19 @@ class FullyConnectedNetwork:
         if self.fault_injector is not None:
             return self._execute_round_faulty(msgs, self.fault_injector)
 
-        max_words = max(m.words for m in msgs)
-        self.rounds += 1
-        self.critical_words += max_words
-        self.total_words += sum(m.words for m in msgs)
-        self.round_log.append(RoundSummary(self.rounds, msgs))
-
+        self._charge_round(msgs)
         deliveries: Dict[int, Any] = {}
         edges = self.edge_words
+        sent, recv, sent_msgs, recv_msgs = self._views
         for msg in msgs:
-            self.sent_words[msg.src] += msg.words
-            self.recv_words[msg.dest] += msg.words
-            self.sent_messages[msg.src] += 1
-            self.recv_messages[msg.dest] += 1
-            key = (msg.src, msg.dest)
-            edges[key] = edges.get(key, 0.0) + msg.words
-            deliveries[msg.dest] = msg.payload
+            src, dest, words = msg.src, msg.dest, msg.words
+            sent[src] += words
+            recv[dest] += words
+            sent_msgs[src] += 1
+            recv_msgs[dest] += 1
+            key = (src, dest)
+            edges[key] = edges.get(key, 0.0) + words
+            deliveries[dest] = msg.payload
         return deliveries
 
     def execute_array_rounds(
@@ -228,9 +236,9 @@ class FullyConnectedNetwork:
         messages allowed, as with ``empty_ok=True``): an empty round is
         free, and each other round costs one round and its largest message
         on the critical path, and appends one :class:`RoundSummary` tagged
-        ``tag``.  Per-rank counters are summed in numpy across the rounds
-        and folded into the counter lists once, also when a round fails
-        validation after earlier ones were charged.  Nothing is delivered.
+        ``tag``.  Each round adds to the per-rank counter arrays as it is
+        executed, so a round that fails validation leaves the earlier ones
+        charged.  Nothing is delivered.
 
         Raises
         ------
@@ -250,16 +258,15 @@ class FullyConnectedNetwork:
                 "faulted rounds must be executed message by message"
             )
         n = self.n_procs
-        sent = np.zeros(n)
-        recv = np.zeros(n)
-        sent_msgs = np.zeros(n, dtype=np.int64)
-        recv_msgs = np.zeros(n, dtype=np.int64)
         edge_keys: List[np.ndarray] = []
         edge_vals: List[np.ndarray] = []
+        links = None  # the (src, dest) arrays of the last round
         try:
             for src, dest, words in rounds:
                 if len(src) == 0:
                     continue
+                same_links = links is not None and src is links[0] and dest is links[1]
+                links = (src, dest)
                 src, dest, words = (
                     np.asarray(a, dtype=np.int64) for a in (src, dest, words)
                 )
@@ -276,14 +283,21 @@ class FullyConnectedNetwork:
                 self.round_log.append(
                     RoundSummary.of_counts(self.rounds, len(src), max_words, total, tag)
                 )
-                sent += np.bincount(src, weights=words, minlength=n)
-                recv += np.bincount(dest, weights=words, minlength=n)
-                sent_msgs += src_counts
-                recv_msgs += dest_counts
-                edge_keys.append(src * n + dest)
-                edge_vals.append(words)
+                # Words are whole numbers far below 2**53, so these float
+                # sums are exact and equal the per-message additions.
+                self.sent_words += np.bincount(src, weights=words, minlength=n)
+                self.recv_words += np.bincount(dest, weights=words, minlength=n)
+                self.sent_messages += src_counts
+                self.recv_messages += dest_counts
+                if same_links:
+                    # Ring schedules reuse one (src, dest) pair every round:
+                    # add to its traffic instead of keeping P keys per round.
+                    edge_vals[-1] = edge_vals[-1] + words
+                else:
+                    edge_keys.append(src * n + dest)
+                    edge_vals.append(words)
         finally:
-            self._fold_array_counters(sent, recv, sent_msgs, recv_msgs, edge_keys, edge_vals)
+            self._fold_edges(edge_keys, edge_vals)
 
     def _validate_array_round(self, src, dest, words) -> None:
         if not len(src) == len(dest) == len(words):
@@ -325,15 +339,9 @@ class FullyConnectedNetwork:
             f"(from {src[dest == rank].tolist()})"
         )
 
-    def _fold_array_counters(self, sent, recv, sent_msgs, recv_msgs, edge_keys, edge_vals) -> None:
+    def _fold_edges(self, edge_keys, edge_vals) -> None:
         if not edge_keys:
             return
-        # Words are whole numbers far below 2**53, so every float sum here
-        # is exact and equals the message path's per-message additions.
-        self.sent_words[:] = (np.asarray(self.sent_words) + sent).tolist()
-        self.recv_words[:] = (np.asarray(self.recv_words) + recv).tolist()
-        self.sent_messages[:] = (np.asarray(self.sent_messages, dtype=np.int64) + sent_msgs).tolist()
-        self.recv_messages[:] = (np.asarray(self.recv_messages, dtype=np.int64) + recv_msgs).tolist()
         keys = np.concatenate(edge_keys)
         links, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         totals = np.bincount(inverse, weights=np.concatenate(edge_vals))
@@ -353,15 +361,25 @@ class FullyConnectedNetwork:
     #   recovered_critical_words == clean_critical_words + words_resent
     #   sum(sent_words) == sum(recv_words)            (conservation)
 
+    def _charge_round(self, msgs: Sequence[Message]) -> None:
+        """Charge one round and its largest message to the critical path."""
+        self.rounds += 1
+        summary = RoundSummary(self.rounds, msgs)
+        self.critical_words += summary.max_words
+        self.total_words += summary.total_words
+        self.round_log.append(summary)
+
     def _charge_message(self, msg: Message) -> None:
         """Per-rank accounting of one transmission (clean or faulted)."""
-        self.sent_words[msg.src] += msg.words
-        self.recv_words[msg.dest] += msg.words
-        self.sent_messages[msg.src] += 1
-        self.recv_messages[msg.dest] += 1
+        sent, recv, sent_msgs, recv_msgs = self._views
+        src, dest, words = msg.src, msg.dest, msg.words
+        sent[src] += words
+        recv[dest] += words
+        sent_msgs[src] += 1
+        recv_msgs[dest] += 1
         edges = self.edge_words
-        key = (msg.src, msg.dest)
-        edges[key] = edges.get(key, 0.0) + msg.words
+        key = (src, dest)
+        edges[key] = edges.get(key, 0.0) + words
 
     def _latency_rounds(self, count: int) -> None:
         """Charge ``count`` rounds of pure latency (backoff / stall)."""
@@ -467,10 +485,7 @@ class FullyConnectedNetwork:
             (msg, injector.decide() if msg.words else "none") for msg in msgs
         ]
 
-        self.rounds += 1
-        self.critical_words += max(m.words for m in msgs)
-        self.total_words += sum(m.words for m in msgs)
-        self.round_log.append(RoundSummary(self.rounds, msgs))
+        self._charge_round(msgs)
         for msg in msgs:
             self._charge_message(msg)
 

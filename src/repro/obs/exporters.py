@@ -76,17 +76,22 @@ def _meta_record(machine) -> dict:
 
 def _per_rank_records(machine) -> List[dict]:
     net = machine.network
+    columns = zip(
+        net.sent_words.tolist(), net.recv_words.tolist(),
+        net.sent_messages.tolist(), net.recv_messages.tolist(),
+        machine.flops.tolist(),
+    )
     return [
         {
             "type": "per_rank",
             "rank": rank,
-            "sent_words": net.sent_words[rank],
-            "recv_words": net.recv_words[rank],
-            "sent_messages": net.sent_messages[rank],
-            "recv_messages": net.recv_messages[rank],
-            "flops": machine.processors[rank].flops,
+            "sent_words": sent,
+            "recv_words": recv,
+            "sent_messages": sent_msgs,
+            "recv_messages": recv_msgs,
+            "flops": flops,
         }
-        for rank in range(machine.n_procs)
+        for rank, (sent, recv, sent_msgs, recv_msgs, flops) in enumerate(columns)
     ]
 
 
@@ -97,11 +102,11 @@ def _summary_record(machine) -> dict:
         "rounds": net.rounds,
         "critical_words": net.critical_words,
         "total_words": net.total_words,
-        "sent_words": list(net.sent_words),
-        "recv_words": list(net.recv_words),
-        "sent_messages": list(net.sent_messages),
-        "recv_messages": list(net.recv_messages),
-        "max_flops": max((p.flops for p in machine.processors), default=0.0),
+        "sent_words": net.sent_words.tolist(),
+        "recv_words": net.recv_words.tolist(),
+        "sent_messages": net.sent_messages.tolist(),
+        "recv_messages": net.recv_messages.tolist(),
+        "max_flops": float(machine.flops.max()),
         "time": machine.time,
         "peak_memory_words": machine.peak_memory_words(),
     }
@@ -221,8 +226,8 @@ class ChromeTraceExporter:
                 for rank in sorted({r for g in span.groups for r in g}):
                     rank_args = dict(args)
                     if len(span.sent_words) == machine.n_procs:
-                        rank_args["sent_words"] = span.sent_words[rank]
-                        rank_args["recv_words"] = span.recv_words[rank]
+                        rank_args["sent_words"] = float(span.sent_words[rank])
+                        rank_args["recv_words"] = float(span.recv_words[rank])
                     events.append({**common, "tid": rank_tids[rank], "args": rank_args})
 
         for depth in range(max_depth + 1):

@@ -22,6 +22,8 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -187,13 +189,13 @@ def load_imbalance(values) -> float:
     Returns 1.0 for an empty or all-zero vector, so the gauge is neutral
     on machines that have not communicated/computed yet.
     """
-    values = list(values)
-    if not values:
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size:
         return 1.0
-    mean = sum(values) / len(values)
+    mean = sum(values.tolist()) / values.size
     if mean == 0:
         return 1.0
-    return max(values) / mean
+    return float(values.max()) / mean
 
 
 @dataclasses.dataclass(frozen=True)
@@ -236,11 +238,13 @@ def rank_skew(values: Sequence[float]) -> RankSkew:
     vector is reported as perfectly balanced (ratio 1.0, straggler rank 0)
     so the gauge stays neutral before any communication happens.
     """
-    values = list(values)
-    if not values:
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size:
         return RankSkew(0.0, 0.0, 0, 1.0)
-    mean = sum(values) / len(values)
-    straggler = max(range(len(values)), key=lambda r: values[r])
+    # A left-to-right sum, as before, so non-integral vectors (worker busy
+    # times) keep their exact mean.
+    mean = sum(values.tolist()) / values.size
+    straggler = int(values.argmax())
     peak = values[straggler]
     ratio = 1.0 if mean == 0 else peak / mean
     return RankSkew(
@@ -259,7 +263,7 @@ def update_machine_gauges(machine) -> None:
     net = machine.network
     metrics = machine.metrics
     metrics.gauge("load_imbalance", counter="flops").set(
-        load_imbalance(p.flops for p in machine.processors)
+        load_imbalance(machine.flops)
     )
     metrics.gauge("load_imbalance", counter="sent_words").set(
         load_imbalance(net.sent_words)

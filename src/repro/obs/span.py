@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.cost import Cost
@@ -51,12 +53,9 @@ def _zero_cost():
     return Cost()
 
 
-def _tuple_delta(before: tuple, after: tuple) -> Tuple[float, ...]:
-    if len(before) != len(after):
-        raise ValueError(
-            f"per-rank counter length changed mid-span: {len(before)} != {len(after)}"
-        )
-    return tuple(b - a for a, b in zip(before, after))
+def _as_list(per_rank) -> list:
+    """A per-rank vector (array or tuple) as a list of Python numbers."""
+    return np.asarray(per_rank).tolist()
 
 
 @dataclasses.dataclass
@@ -88,8 +87,9 @@ class Span:
     cost:
         Inclusive :class:`~repro.machine.cost.Cost` delta.
     sent_words, recv_words, sent_messages, recv_messages, flops:
-        Per-rank deltas over the span's lifetime (empty tuples when not
-        measured).
+        Per-rank deltas over the span's lifetime: numpy arrays (float64
+        words and flops, int64 message counts) when measured, empty tuples
+        otherwise.  Records convert them with ``.tolist()``.
     faults_injected, retries, words_resent:
         Fault-layer deltas over the span's lifetime (always zero without a
         fault injector attached; see :mod:`repro.machine.faults`).
@@ -112,11 +112,11 @@ class Span:
     start_time: float = 0.0
     end_time: float = 0.0
     cost: "Cost" = dataclasses.field(default_factory=_zero_cost)
-    sent_words: Tuple[float, ...] = ()
-    recv_words: Tuple[float, ...] = ()
-    sent_messages: Tuple[int, ...] = ()
-    recv_messages: Tuple[int, ...] = ()
-    flops: Tuple[float, ...] = ()
+    sent_words: Union[np.ndarray, Tuple[float, ...]] = ()
+    recv_words: Union[np.ndarray, Tuple[float, ...]] = ()
+    sent_messages: Union[np.ndarray, Tuple[int, ...]] = ()
+    recv_messages: Union[np.ndarray, Tuple[int, ...]] = ()
+    flops: Union[np.ndarray, Tuple[float, ...]] = ()
     faults_injected: int = 0
     retries: int = 0
     words_resent: float = 0.0
@@ -154,11 +154,11 @@ class Span:
             "rounds": self.cost.rounds,
             "words": self.cost.words,
             "flops": self.cost.flops,
-            "sent_words": list(self.sent_words),
-            "recv_words": list(self.recv_words),
-            "sent_messages": list(self.sent_messages),
-            "recv_messages": list(self.recv_messages),
-            "rank_flops": list(self.flops),
+            "sent_words": _as_list(self.sent_words),
+            "recv_words": _as_list(self.recv_words),
+            "sent_messages": _as_list(self.sent_messages),
+            "recv_messages": _as_list(self.recv_messages),
+            "rank_flops": _as_list(self.flops),
             "faults_injected": self.faults_injected,
             "retries": self.retries,
             "words_resent": self.words_resent,
@@ -176,6 +176,15 @@ class Span:
             f"Span({tag} #{self.index} {self.kind}:{self.name!r}, "
             f"{self.cost.words:g}w, {len(self.children)} children)"
         )
+
+
+#: The :class:`~repro.machine.machine.CounterSnapshot` deltas a measured
+#: span carries, under the same names.
+_MEASURED = (
+    "cost", "sent_words", "recv_words", "sent_messages", "recv_messages",
+    "flops", "faults_injected", "retries", "words_resent", "recoveries",
+    "words_recovered",
+)
 
 
 class SpanRecorder:
@@ -222,18 +231,11 @@ class SpanRecorder:
             self.roots.append(span)
         return span
 
-    def _attach_measurement(self, span: Span, before, after) -> None:
-        span.cost = after.cost - before.cost
-        span.sent_words = _tuple_delta(before.sent_words, after.sent_words)
-        span.recv_words = _tuple_delta(before.recv_words, after.recv_words)
-        span.sent_messages = _tuple_delta(before.sent_messages, after.sent_messages)
-        span.recv_messages = _tuple_delta(before.recv_messages, after.recv_messages)
-        span.flops = _tuple_delta(before.flops, after.flops)
-        span.faults_injected = after.faults_injected - before.faults_injected
-        span.retries = after.retries - before.retries
-        span.words_resent = after.words_resent - before.words_resent
-        span.recoveries = after.recoveries - before.recoveries
-        span.words_recovered = after.words_recovered - before.words_recovered
+    @staticmethod
+    def _attach_measurement(span: Span, before, after) -> None:
+        delta = before.delta(after)
+        for field in _MEASURED:
+            setattr(span, field, getattr(delta, field))
 
     @contextlib.contextmanager
     def span(self, name: str, kind: str = "phase", groups=(), event: bool = False):

@@ -68,7 +68,7 @@ class TestExactCosts:
     def test_flops_balanced(self, rng):
         A, B = rng.random((8, 8)), rng.random((8, 8))
         res = run_alg1(A, B, ProcessorGrid(2, 2, 2))
-        flops = [p.flops for p in res.machine.processors]
+        flops = res.machine.flops.tolist()
         # local gemm flops equal everywhere: 4*4*4 = 64 (+ reduce adds).
         assert min(flops) >= 64.0
         assert max(flops) - min(flops) <= 1e-9

@@ -10,14 +10,22 @@ production-scale sweep the seam exists to enable.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.large_p import LargePPoint, run_large_p_sweep
 from repro.analysis.sweep import sweep
-from repro.analysis.verification import cross_check_backends
+from repro.analysis.verification import cross_check_backends, machine_accounting
+from repro.algorithms.alg1 import run_alg1
+from repro.algorithms.grid import ProcessorGrid
 from repro.algorithms.registry import REGISTRY, applicable_algorithms
+from repro.collectives.schedules import is_power_of_two
 from repro.core.cases import Regime, classify
 from repro.core.shapes import ProblemShape
 from repro.exceptions import BoundViolationError
+from repro.machine.backend import SymbolicBlock
+from repro.machine.faults import FaultModel
+from repro.machine.machine import Machine
 
 _REGIME_CASE = {Regime.ONE_D: 1, Regime.TWO_D: 2, Regime.THREE_D: 3}
 
@@ -124,3 +132,78 @@ class TestLargeP:
         bad = LargePPoint(case=3, shape=ProblemShape(4096, 16, 16), P=256)
         with pytest.raises(BoundViolationError):
             run_large_p_sweep(points=(bad,))
+
+
+# ---------------------------------------------------------------------- #
+# Algorithm 1 on explicit grids: data == symbolic, every fallback too    #
+# ---------------------------------------------------------------------- #
+
+#: Settings that force the symbolic run off the rank-array replay and
+#: through the stores; none of them may change a count.
+_FALLBACKS = (None, "alltoall", "memory_limit", "faults")
+
+
+@st.composite
+def _alg1_configs(draw):
+    dims = tuple(draw(st.integers(1, 48)) for _ in range(3))
+    p1 = draw(st.integers(1, min(dims[0], 64)))
+    p2 = draw(st.integers(1, min(dims[1], 64 // p1)))
+    p3 = draw(st.integers(1, min(dims[2], 64 // (p1 * p2))))
+    collectives = ["auto", "ring", "bruck"]
+    if all(is_power_of_two(p) for p in (p1, p2, p3)):
+        collectives.append("recursive_doubling")
+    return (
+        dims,
+        ProcessorGrid(p1, p2, p3),
+        draw(st.sampled_from(collectives)),
+        draw(st.booleans()),
+        draw(st.sampled_from(_FALLBACKS)),
+    )
+
+
+def _alg1_run(A, B, grid, collective, keep_blocks, fallback, backend):
+    machine = Machine(
+        grid.size,
+        backend=backend,
+        memory_limit=10**9 if fallback == "memory_limit" else None,
+        faults=FaultModel() if fallback == "faults" else None,
+    )
+    return run_alg1(
+        A, B, grid, machine=machine, collective_algorithm=collective,
+        keep_blocks=keep_blocks,
+        final_phase="alltoall" if fallback == "alltoall" else "reduce_scatter",
+    )
+
+
+def _span_tree(result):
+    return [
+        (s.name, s.kind, s.event, s.depth, s.cost)
+        for s in result.machine.trace.recorder.iter_spans()
+    ]
+
+
+@settings(max_examples=200)
+@given(config=_alg1_configs())
+def test_alg1_data_equals_symbolic_on_explicit_grids(config):
+    dims, grid, collective, keep_blocks, fallback = config
+    rng = np.random.default_rng(sum(dims))
+    A, B = rng.random(dims[:2]), rng.random(dims[1:])
+    args = (grid, collective, keep_blocks, fallback)
+    data = _alg1_run(A, B, *args, backend="data")
+    assert np.allclose(data.C, A @ B)
+    symbolic = _alg1_run(
+        SymbolicBlock(dims[:2]), SymbolicBlock(dims[1:]), *args, backend="symbolic"
+    )
+    assert symbolic.C.shape == data.C.shape
+    assert symbolic.attainment == data.attainment
+    assert symbolic.phase_words == data.phase_words
+    assert _span_tree(symbolic) == _span_tree(data)
+    assert machine_accounting(symbolic.machine) == machine_accounting(data.machine)
+    if fallback in ("memory_limit", "faults"):
+        # A limit no run reaches and a model that injects nothing leave
+        # every count as the rank-array replay charges it.
+        replay = _alg1_run(
+            SymbolicBlock(dims[:2]), SymbolicBlock(dims[1:]), grid, collective,
+            keep_blocks, None, backend="symbolic",
+        )
+        assert machine_accounting(replay.machine) == machine_accounting(symbolic.machine)

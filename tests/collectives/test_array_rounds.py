@@ -111,11 +111,11 @@ def _counters(machine):
         "rounds": net.rounds,
         "critical_words": net.critical_words,
         "total_words": net.total_words,
-        "sent_words": net.sent_words,
-        "recv_words": net.recv_words,
-        "sent_messages": net.sent_messages,
-        "recv_messages": net.recv_messages,
-        "flops": [p.flops for p in machine.processors],
+        "sent_words": net.sent_words.tolist(),
+        "recv_words": net.recv_words.tolist(),
+        "sent_messages": net.sent_messages.tolist(),
+        "recv_messages": net.recv_messages.tolist(),
+        "flops": machine.flops.tolist(),
         "round_log": [
             (s.index, s.n_messages, s.max_words, s.total_words, s.tags)
             for s in net.round_log

@@ -6,7 +6,7 @@ import pytest
 from repro.machine import Machine
 from repro.machine.cost import Cost
 from repro.machine.message import Message
-from repro.obs.span import SpanRecorder, _tuple_delta
+from repro.obs.span import SpanRecorder
 
 
 def one_round(machine, words=4):
@@ -66,16 +66,16 @@ class TestMeasurement:
             one_round(machine, words=4)
         assert span.cost.rounds == 1
         assert span.cost.words == 4
-        assert span.sent_words == (4, 0, 0)
-        assert span.recv_words == (0, 4, 0)
-        assert span.sent_messages == (1, 0, 0)
-        assert span.recv_messages == (0, 1, 0)
+        assert span.sent_words.tolist() == [4, 0, 0]
+        assert span.recv_words.tolist() == [0, 4, 0]
+        assert span.sent_messages.tolist() == [1, 0, 0]
+        assert span.recv_messages.tolist() == [0, 1, 0]
 
     def test_span_measures_flops(self):
         machine = Machine(2)
         with machine.span("compute") as span:
             machine.compute(1, 7.0)
-        assert span.flops == (0, 7.0)
+        assert span.flops.tolist() == [0, 7.0]
         assert span.cost.flops == 7.0
 
     def test_structural_span_cost_is_inclusive(self):
@@ -95,10 +95,6 @@ class TestMeasurement:
         assert span.start_time == t0
         assert span.end_time == machine.time
         assert span.duration > 0
-
-    def test_tuple_delta_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="length changed"):
-            _tuple_delta((0, 0), (1, 1, 1))
 
 
 class TestRecordEvent:
