@@ -8,8 +8,8 @@ pytest-benchmark.  Each module is also runnable standalone
 Setting ``REPRO_LEDGER=/path/to/ledger.jsonl`` in the environment makes
 every benchmark test append a wall-clock timing record (``kind="pytest"``,
 the test's node id as the config) to the persistent experiment ledger, so
-``pytest benchmarks/`` invocations join the same perf trajectory that
-``repro bench`` writes.  ``REPRO_LEDGER_LABEL`` tags the records.
+``pytest benchmarks/`` invocations join the ledger's trajectory that
+``repro trend`` reads.  ``REPRO_LEDGER_LABEL`` tags the records.
 """
 
 import os

@@ -194,7 +194,7 @@ class PlanCache:
 
 
 #: Module-level default cache, shared by :func:`plan` calls that do not
-#: bring their own (the CLI and bench probes reuse it within a process).
+#: bring their own (CLI queries reuse it within a process).
 _DEFAULT_CACHE = PlanCache()
 
 ShapeLike = Union[ProblemShape, Sequence[int]]

@@ -13,10 +13,10 @@ the parsers do not show:
   and the fault-injection warning are still success) and 2 on usage
   errors.  It never exits 1: a diff has no failure verdict of its own.
   ``tests/test_cli.py`` pins this contract.
-* The driver observability group (``sweep`` / ``chaos`` / ``bench`` /
-  ``large-p``) is built and reported by :func:`main`.  It costs nothing
-  when off: model costs, results and ledger bytes are identical with or
-  without it (see docs/OBSERVABILITY.md).
+* The driver observability group (``sweep`` / ``chaos`` / ``large-p``)
+  is built and reported by :func:`main`.  It costs nothing when off:
+  model costs, results and ledger bytes are identical with or without
+  it (see docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -216,42 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inspect.add_argument(
         "path", help=".jsonl file written by 'run --metrics'"
     )
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the benchmark suite, write BENCH_<label>.json, "
-             "optionally gate against a baseline",
-    )
-    p_bench.set_defaults(handler=_cmd_bench)
-    p_bench.add_argument("--label", default="local",
-                         help="run label; names the BENCH_<label>.json output")
-    p_bench.add_argument("--filter", default=None, metavar="SUBSTR",
-                         help="only run entries whose name contains SUBSTR")
-    p_bench.add_argument("--baseline", default=None, metavar="PATH",
-                         help="baseline file (default benchmarks/baseline.json)")
-    p_bench.add_argument("--compare", action="store_true",
-                         help="gate this run against the baseline; exit 1 on "
-                              "regression")
-    p_bench.add_argument("--write-baseline", action="store_true",
-                         help="save this run's report as the baseline")
-    p_bench.add_argument("--output", default=None, metavar="DIR",
-                         help="directory for BENCH_<label>.json "
-                              "(default: repository root)")
-    p_bench.add_argument("--ledger", default=None, metavar="PATH",
-                         help="experiment-ledger JSONL to append run records "
-                              "to (default: repro_ledger.jsonl next to the "
-                              "BENCH file)")
-    p_bench.add_argument("--no-ledger", action="store_true",
-                         help="do not append run records to the ledger")
-    p_bench.add_argument("--wallclock-tol", type=float, default=0.20,
-                         metavar="FRAC",
-                         help="relative wall-clock regression tolerance "
-                              "(default 0.20)")
-    p_bench.add_argument("--wallclock-advisory", action="store_true",
-                         help="report wall-clock regressions as warnings "
-                              "instead of failures (cross-machine baselines)")
-    _add_workers(p_bench)
-    _add_observability_flags(p_bench)
 
     p_sweep = sub.add_parser(
         "sweep",
@@ -663,60 +627,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-    import os
-
-    from .exceptions import BaselineError, VerificationError
-    from .obs.bench import load_bench_report, repo_root, run_bench_suite
-    from .obs.ledger import Ledger
-    from .obs.regress import compare_reports
-
-    out_dir = args.output if args.output else repo_root()
-    ledger = None
-    if not args.no_ledger:
-        ledger = Ledger(args.ledger or os.path.join(out_dir, "repro_ledger.jsonl"))
-    try:
-        report = run_bench_suite(
-            args.label, filter=args.filter, ledger=ledger,
-            workers=args.workers, **args.obs,
-        )
-    except VerificationError as exc:
-        print(f"bench aborted (reproduction claim violated): {exc}",
-              file=sys.stderr)
-        return 1
-    if not report.entries:
-        raise UsageError(f"no bench entries matched filter {args.filter!r}")
-    path = report.write(out_dir)
-    print(f"wrote {len(report.entries)} entries to {path}")
-    if ledger is not None:
-        print(f"appended run records to {ledger.path}")
-
-    baseline_path = args.baseline or os.path.join(
-        repo_root(), "benchmarks", "baseline.json"
-    )
-    if args.write_baseline:
-        with open(baseline_path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote baseline to {baseline_path}")
-    if args.compare:
-        try:
-            baseline = load_bench_report(baseline_path)
-        except BaselineError as exc:
-            raise UsageError(f"cannot compare: {exc}") from None
-        gate = compare_reports(
-            report,
-            baseline,
-            wallclock_tol=args.wallclock_tol,
-            enforce_wallclock=not args.wallclock_advisory,
-            allow_missing=args.filter is not None,
-        )
-        print(gate.render())
-        return 0 if gate.passed else 1
-    return 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .analysis.chaos import ALL_SCHEDULES, run_chaos
 
@@ -988,7 +898,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _default_ledger_path() -> str:
     import os
 
-    from .obs.bench import repo_root
+    from .obs.ledger import repo_root
 
     return os.path.join(repo_root(), "repro_ledger.jsonl")
 
@@ -1243,7 +1153,7 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     import os
 
     from .exceptions import BaselineError, LedgerError
-    from .obs.bench import repo_root
+    from .obs.ledger import repo_root
     from .obs.dashboard import (
         DEFAULT_DASHBOARD, collect_payload, write_dashboard,
     )

@@ -136,9 +136,9 @@ class VerificationError(ReproError):
     """An executed algorithm violated one of the paper's verifiable claims.
 
     Unlike a plain ``assert``, these survive ``python -O``: the sweep and
-    bench drivers *must not* silently record a numerically wrong product or
-    a bound-beating cost, because every downstream comparison (ledger
-    records, regression baselines, EXPERIMENTS.md tables) would inherit the
+    large-P drivers *must not* silently record a numerically wrong product
+    or a bound-beating cost, because every downstream comparison (ledger
+    records, golden fixtures, EXPERIMENTS.md tables) would inherit the
     poisoned measurement.
     """
 
@@ -266,7 +266,7 @@ class LedgerError(ReproError):
 
 
 class BaselineError(ReproError):
-    """A benchmark baseline file is missing, corrupt, or schema-incompatible."""
+    """A ``BENCH_*.json`` file is missing, corrupt, or schema-incompatible."""
 
 
 class TaskError(ReproError):

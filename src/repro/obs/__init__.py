@@ -29,14 +29,10 @@ in-run layer measures:
   append-only JSONL run records (model costs, attainment, skew,
   wall-clock, git SHA, environment fingerprint) with query/trajectory/
   merge helpers; the backend of ``repro ledger``.
-* :mod:`repro.obs.bench` — the ``repro bench`` driver: times every
-  ``benchmarks/bench_*.py`` harness plus a standard sweep grid and writes
-  one ``BENCH_<label>.json`` trajectory file.
-* :mod:`repro.obs.regress` — the regression gate: exact on model-level
-  costs and attainment, thresholded (default ±20%) on wall-clock.
-* :mod:`repro.obs.analytics` — trajectory analytics over everything the
-  other modules persist: per-metric time series keyed by (algorithm,
-  backend, Theorem-3 case, shape) with a rolling-median trend detector
+* :mod:`repro.obs.analytics` — the ``BENCH_*.json`` reader and
+  trajectory analytics over the ledger and the committed BENCH files:
+  per-metric time series keyed by (algorithm, backend, Theorem-3 case,
+  shape) with a rolling-median trend detector
   (typed improved/flat/regressed verdicts); the backend of
   ``repro trend`` and ``repro ledger trajectory``.
 * :mod:`repro.obs.dashboard` — the ``repro dashboard`` renderer: one
@@ -110,21 +106,10 @@ from .ledger import (
     git_revision,
     merge_ledgers,
 )
-from .bench import (
+from .analytics import (
     BENCH_SCHEMA_VERSION,
     BenchEntry,
     BenchReport,
-    discover_bench_modules,
-    load_bench_report,
-    run_bench_suite,
-)
-from .regress import (
-    GateResult,
-    RegressionReport,
-    compare_entries,
-    compare_reports,
-)
-from .analytics import (
     METRICS,
     SeriesKey,
     TrajectoryPoint,
@@ -134,6 +119,7 @@ from .analytics import (
     analyze,
     detect_trend,
     discover_bench_files,
+    load_bench_report,
 )
 from .dashboard import (
     collect_payload,
@@ -149,7 +135,6 @@ __all__ = [
     "ChromeTraceExporter",
     "Counter",
     "EXPORTERS",
-    "GateResult",
     "Gauge",
     "Histogram",
     "JSONLinesExporter",
@@ -160,7 +145,6 @@ __all__ = [
     "ProfileCollector",
     "ProgressReporter",
     "RankSkew",
-    "RegressionReport",
     "RunRecord",
     "SeriesKey",
     "Span",
@@ -178,11 +162,8 @@ __all__ = [
     "capture_stats",
     "collapsed_stacks",
     "collect_payload",
-    "compare_entries",
-    "compare_reports",
     "detect_trend",
     "discover_bench_files",
-    "discover_bench_modules",
     "environment_fingerprint",
     "export_telemetry_chrome",
     "export_telemetry_jsonl",
@@ -201,7 +182,6 @@ __all__ = [
     "render_html",
     "render_rank_table",
     "render_span_tree",
-    "run_bench_suite",
     "telemetry_jsonl_records",
     "telemetry_trace_events",
     "update_machine_gauges",

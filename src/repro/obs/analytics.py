@@ -1,14 +1,17 @@
 """Trajectory analytics: trend detection over the ledger and BENCH files.
 
-PRs 1-6 made every run *emit* rich artifacts — schema-versioned ledger
-records, ``BENCH_<label>.json`` reports, driver telemetry, merged
-profiles — but nothing aggregated them across runs: the bench gate
-compares one run against one baseline, and the ledger is history nobody
-reads back as a whole.  This module is the read side.  It folds every
-artifact into per-metric **time series** and runs a rolling-median
-regression detector over them, the same trajectory-analytics pass a
-training or serving stack runs over its own perf counters:
+Every run *emits* rich artifacts — schema-versioned ledger records,
+committed ``BENCH_<label>.json`` reports, driver telemetry, merged
+profiles.  This module is the read side.  It folds every artifact into
+per-metric **time series** and runs a rolling-median regression detector
+over them, the same trajectory-analytics pass a training or serving
+stack runs over its own perf counters:
 
+* :class:`BenchReport` / :func:`load_bench_report` — the reader of the
+  BENCH file schema (one :class:`BenchEntry` per measured row: model
+  costs, Theorem 3 bound, attainment, skew and wall-clock), refusing a
+  missing, corrupt or wrong-schema file with a typed
+  :class:`~repro.exceptions.BaselineError`.
 * :class:`SeriesKey` — the aggregation key ``(algorithm, backend,
   Theorem-3 case, shape fingerprint)``.  The case comes from
   :func:`repro.core.cases.classify`, so a 1D probe and a 3D probe of the
@@ -25,17 +28,15 @@ training or serving stack runs over its own perf counters:
   median of the trailing ``window`` samples against the median of the
   preceding history, so a single noisy sample can neither trip nor mask
   a verdict; the typed verdict is one of :data:`IMPROVED` /
-  :data:`FLAT` / :data:`REGRESSED`.  Thresholds mirror
-  :mod:`repro.obs.regress`: model-level metrics (words, attainment,
-  skew) are exact — any drift beyond float representation noise is a
-  verdict — while wall-clock gets the gate's relative tolerance plus an
-  absolute floor, and is only ever compared between samples whose
+  :data:`FLAT` / :data:`REGRESSED`.  Model-level metrics (words,
+  attainment, skew) are exact — any drift beyond float representation
+  noise is a verdict — while wall-clock gets a relative tolerance plus
+  an absolute floor, and is only ever compared between samples whose
   environment fingerprints match (the ledger's own comparability rule).
 * :func:`analyze` — runs the detector over every (series, metric,
   stream) triple in a store and returns a :class:`TrendReport`, the
   backend of ``repro trend`` (exit contract under ``--check``: 0 = no
-  regression, 1 = regression detected, 2 = usage error — the same split
-  ``repro bench`` uses).
+  regression, 1 = regression detected, 2 = usage error).
 
 The dashboard (:mod:`repro.obs.dashboard`) renders the same store and
 report as HTML, so the CLI gate and the visual trajectory can never
@@ -46,16 +47,22 @@ from __future__ import annotations
 
 import dataclasses
 import glob
+import json
 import os
 import statistics
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.cases import classify
 from ..core.shapes import ProblemShape
-from .bench import BenchReport, load_bench_report, repo_root
-from .ledger import Ledger, RunRecord
+from ..exceptions import BaselineError
+from .ledger import Ledger, RunRecord, repo_root
+from .metrics import RankSkew
 
 __all__ = [
+    "BENCH_SCHEMA_VERSION",
+    "BenchEntry",
+    "BenchReport",
+    "load_bench_report",
     "METRICS",
     "IMPROVED",
     "FLAT",
@@ -74,6 +81,127 @@ __all__ = [
     "theorem3_case",
 ]
 
+#: The BENCH file layout version this build reads.
+BENCH_SCHEMA_VERSION = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class BenchEntry:
+    """One row of a BENCH file: one measured (algorithm, shape, P) point."""
+
+    name: str
+    kind: str  # "module" | "sweep" | "symbolic" | "oracle" | "plan"
+    wall_clock: float
+    algorithm: str
+    config: str
+    shape: Tuple[int, ...]
+    P: int
+    words: float
+    rounds: int
+    flops: float
+    bound: float
+    attainment: float
+    backend: str = "data"
+    skew: Optional[RankSkew] = None
+
+    def to_dict(self) -> dict:
+        out = dataclasses.asdict(self)
+        out["shape"] = list(self.shape)
+        out["skew"] = None if self.skew is None else self.skew.to_dict()
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "BenchEntry":
+        try:
+            return cls(
+                name=data["name"],
+                kind=data["kind"],
+                wall_clock=float(data["wall_clock"]),
+                algorithm=data["algorithm"],
+                config=data.get("config", ""),
+                shape=tuple(data["shape"]),
+                P=int(data["P"]),
+                words=float(data["words"]),
+                rounds=int(data["rounds"]),
+                flops=float(data["flops"]),
+                bound=float(data["bound"]),
+                attainment=float(data["attainment"]),
+                backend=data.get("backend", "data"),
+                skew=(
+                    None if data.get("skew") is None
+                    else RankSkew.from_dict(data["skew"])
+                ),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BaselineError(f"malformed bench entry: {exc}") from exc
+
+
+@dataclasses.dataclass
+class BenchReport:
+    """One BENCH file: provenance metadata plus one entry per row."""
+
+    label: str
+    entries: List[BenchEntry]
+    timestamp: float = 0.0
+    git_sha: Optional[str] = None
+    env: Optional[dict] = None
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": "repro-bench",
+            "schema_version": BENCH_SCHEMA_VERSION,
+            "label": self.label,
+            "timestamp": self.timestamp,
+            "git_sha": self.git_sha,
+            "env": self.env,
+            "entries": [e.to_dict() for e in self.entries],
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "BenchReport":
+        version = data.get("schema_version")
+        if version != BENCH_SCHEMA_VERSION:
+            raise BaselineError(
+                f"unsupported bench schema_version {version!r} "
+                f"(this build reads version {BENCH_SCHEMA_VERSION})"
+            )
+        try:
+            entries = [BenchEntry.from_dict(e) for e in data["entries"]]
+            return cls(
+                label=data.get("label", ""),
+                entries=entries,
+                timestamp=float(data.get("timestamp", 0.0)),
+                git_sha=data.get("git_sha"),
+                env=data.get("env"),
+            )
+        except (KeyError, TypeError) as exc:
+            raise BaselineError(f"malformed bench report: {exc}") from exc
+
+
+def load_bench_report(path: str) -> BenchReport:
+    """Load a ``BENCH_*.json`` file.
+
+    Raises
+    ------
+    BaselineError
+        If the file is missing, not JSON, or not a supported bench schema —
+        with a message suitable for direct CLI display.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except FileNotFoundError:
+        raise BaselineError(f"BENCH file not found: {path}") from None
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BaselineError(f"cannot read BENCH file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise BaselineError(
+            f"BENCH file {path} is not a bench report object "
+            f"(got {type(data).__name__})"
+        )
+    return BenchReport.from_dict(data)
+
+
 #: The tracked per-series metrics, in report order.
 METRICS: Tuple[str, ...] = ("wall_clock", "words", "attainment", "skew_ratio")
 
@@ -85,8 +213,7 @@ REGRESSED = "regressed"
 
 #: Relative change a metric must exceed before it is a verdict.  Model
 #: metrics are exact (the tolerance only absorbs float representation
-#: noise across serialization round-trips); wall-clock reuses the bench
-#: gate's default.
+#: noise across serialization round-trips); wall-clock allows 20%.
 TREND_TOLERANCES: Dict[str, float] = {
     "wall_clock": 0.20,
     "words": 1e-9,
@@ -94,8 +221,8 @@ TREND_TOLERANCES: Dict[str, float] = {
     "skew_ratio": 1e-9,
 }
 
-#: Absolute floors, same role as the bench gate's wall-clock floor:
-#: micro-entries cannot trip the detector on scheduler jitter.
+#: Absolute floors: wall-clock micro-entries cannot trip the detector
+#: on scheduler jitter.
 TREND_FLOORS: Dict[str, float] = {
     "wall_clock": 0.25,
     "words": 0.0,

@@ -9,8 +9,8 @@ attainment ratio, the per-rank ``sent_words`` skew, wall-clock time, the
 git revision, and an environment fingerprint.  Because records are
 append-only and self-describing, the file doubles as the repository's
 measured-performance trajectory: ``repro ledger list`` reads it back,
-``repro ledger diff`` compares any two records, and the regression gate
-(:mod:`repro.obs.regress`) decides whether drift between records is a bug.
+``repro ledger diff`` compares any two records, and ``repro trend``
+(:mod:`repro.obs.analytics`) flags drift along a record series.
 
 The design follows how the COSMA/CTF codebases and the Demmel et al. '13
 strong-scaling study track measured-versus-model numbers per configuration:
@@ -45,10 +45,18 @@ __all__ = [
     "environment_fingerprint",
     "git_revision",
     "merge_ledgers",
+    "repo_root",
 ]
 
 #: Bump when the record layout changes incompatibly.
 LEDGER_SCHEMA_VERSION = 1
+
+
+def repo_root() -> str:
+    """The source-checkout root: home of the ledger and the BENCH files."""
+    return os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    )
 
 
 def environment_fingerprint() -> dict:
@@ -95,7 +103,10 @@ class RunRecord:
         Free-form grouping tag (``"pr2"``, ``"nightly"``, a PR number...).
     kind:
         Record provenance: ``"sweep"`` (from :func:`repro.analysis.sweep`),
-        ``"bench"`` (from the ``repro bench`` driver), ``"run"`` (ad hoc).
+        ``"plan"`` (``repro plan``), ``"chaos"`` (``repro chaos``),
+        ``"pytest"`` (benchmark-test timings), ``"run"`` (ad hoc).  Not
+        validated, so older ledgers still read: their ``"bench"`` records
+        came from the deleted ``repro bench`` command's Algorithm 1 probes.
     algorithm, config, shape, P:
         What ran and on which (shape, processor-count) point.
     words, rounds, flops:

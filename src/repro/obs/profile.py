@@ -30,7 +30,7 @@ driver on the uninstrumented path, and model costs are independent of it
 either way (asserted in ``tests/obs/test_profile.py``).
 
 The CLI front-end is the ``--profile`` / ``--profile-out`` flag pair on
-``repro sweep / bench / chaos / large-p``.
+``repro sweep / chaos / large-p``.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 The PR-1 span layer (:mod:`repro.obs.span`) instruments the **simulated
 machine** — its clock is modelled time, its counters are modelled words.
 The drivers that orchestrate those simulations (the sweep, the chaos
-matrix, the large-P attainment sweep, the bench suite) spend real
-wall-clock seconds in operand generation, simulation, verification,
-ledger appends and result merging, and with ``--workers N`` most of that
-time happens inside opaque pool processes.  This module gives the *host*
+matrix, the large-P attainment sweep) spend real wall-clock seconds in
+operand generation, simulation, verification, ledger appends and result
+merging, and with ``--workers N`` most of that time happens inside
+opaque pool processes.  This module gives the *host*
 side the same treatment the machine already enjoys:
 
 * :class:`StageSpan` — one nested wall-clock region of the driver
@@ -197,7 +197,7 @@ class Telemetry:
     ----------
     driver:
         Name of the driver being instrumented (``"sweep"``, ``"chaos"``,
-        ``"bench"``, ``"large-p"``); labels exports and summaries.
+        ``"large-p"``); labels exports and summaries.
 
     The recorder is cheap to create and every method is callable from the
     parent process only — workers report plain timing tuples through

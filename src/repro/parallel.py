@@ -1,8 +1,8 @@
 """Multiprocess map with deterministic, worker-count-independent results.
 
-The sweep, chaos, large-P and bench drivers are embarrassingly parallel
-across their outermost task lists, but naive pooling would break two
-contracts the repo depends on:
+The sweep, chaos and large-P drivers are embarrassingly parallel across
+their outermost task lists, but naive pooling would break two contracts
+the repo depends on:
 
 * **Determinism** — results (and the ledger records derived from them)
   must be bit-identical regardless of ``workers``.  We guarantee this by

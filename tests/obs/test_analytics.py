@@ -4,6 +4,8 @@ import pytest
 
 from repro.obs.analytics import (
     FLAT,
+    BenchEntry,
+    BenchReport,
     IMPROVED,
     METRICS,
     REGRESSED,
@@ -17,7 +19,6 @@ from repro.obs.analytics import (
     shape_fingerprint,
     theorem3_case,
 )
-from repro.obs.bench import BenchEntry, BenchReport
 from repro.obs.ledger import Ledger
 from repro.obs.metrics import RankSkew
 
@@ -269,7 +270,7 @@ class TestCommittedArtifacts:
     """The committed history must stay green (the CI advisory gate)."""
 
     def test_committed_trajectory_has_no_regressions(self):
-        from repro.obs.bench import repo_root
+        from repro.obs.ledger import repo_root
 
         import os
 
@@ -284,7 +285,7 @@ class TestCommittedArtifacts:
     def test_every_metric_is_collected_from_the_committed_ledger(self):
         import os
 
-        from repro.obs.bench import repo_root
+        from repro.obs.ledger import repo_root
 
         path = os.path.join(repo_root(), "repro_ledger.jsonl")
         if not os.path.exists(path):

@@ -2,7 +2,7 @@
 
 from repro.analysis.sweep import sweep
 from repro.core.shapes import ProblemShape
-from repro.obs.bench import BenchEntry
+from repro.obs.analytics import BenchEntry
 from repro.obs.ledger import RunRecord
 
 

@@ -1,4 +1,4 @@
-"""Tests for the bench driver (repro.obs.bench)."""
+"""Tests for the BENCH-file reader (repro.obs.analytics) and the repo root."""
 
 import json
 import os
@@ -6,20 +6,13 @@ import os
 import pytest
 
 from repro.exceptions import BaselineError
-from repro.obs.bench import (
+from repro.obs.analytics import (
     BENCH_SCHEMA_VERSION,
     BenchEntry,
     BenchReport,
-    DEFAULT_PROBE,
-    MODULE_PROBES,
-    SWEEP_GRID,
-    bench_dir,
-    discover_bench_modules,
     load_bench_report,
-    repo_root,
-    run_bench_suite,
 )
-from repro.obs.ledger import Ledger
+from repro.obs.ledger import repo_root
 from repro.obs.metrics import RankSkew
 
 
@@ -43,24 +36,17 @@ def make_entry(**overrides) -> BenchEntry:
     return BenchEntry(**base)
 
 
+def write_report(report: BenchReport, directory) -> str:
+    path = os.path.join(str(directory), f"BENCH_{report.label}.json")
+    with open(path, "w") as fh:
+        json.dump(report.to_dict(), fh)
+    return path
+
+
 class TestPaths:
     def test_repo_root_contains_benchmarks(self):
-        assert os.path.isdir(bench_dir())
-        assert os.path.samefile(os.path.dirname(bench_dir()), repo_root())
-
-    def test_discovery_finds_the_committed_harnesses(self):
-        modules = discover_bench_modules()
-        assert "bench_table1" in modules
-        assert "bench_baselines" in modules
-        assert modules == sorted(modules)
-
-    def test_discovery_of_missing_directory_is_empty(self, tmp_path):
-        assert discover_bench_modules(str(tmp_path / "nope")) == []
-
-    def test_every_pinned_probe_is_a_discoverable_module(self):
-        modules = set(discover_bench_modules())
-        for name in MODULE_PROBES:
-            assert name in modules
+        assert os.path.isdir(os.path.join(repo_root(), "benchmarks"))
+        assert os.path.isdir(os.path.join(repo_root(), "src", "repro"))
 
 
 class TestReportSerialization:
@@ -74,8 +60,7 @@ class TestReportSerialization:
 
     def test_write_and_load(self, tmp_path):
         report = BenchReport(label="t", entries=[make_entry()])
-        path = report.write(str(tmp_path))
-        assert os.path.basename(path) == "BENCH_t.json"
+        path = write_report(report, tmp_path)
         data = json.loads(open(path).read())
         assert data["schema"] == "repro-bench"
         assert data["schema_version"] == BENCH_SCHEMA_VERSION
@@ -94,74 +79,10 @@ class TestReportSerialization:
 
     def test_load_wrong_schema_version_rejected(self, tmp_path):
         report = BenchReport(label="t", entries=[])
-        path = report.write(str(tmp_path))
+        path = write_report(report, tmp_path)
         data = json.loads(open(path).read())
         data["schema_version"] = 0
         open(path, "w").write(json.dumps(data))
         with pytest.raises(BaselineError, match="schema_version"):
             load_bench_report(path)
 
-
-@pytest.fixture(scope="module")
-def small_suite(tmp_path_factory):
-    """One filtered suite execution shared by the assertions below."""
-    tmp = tmp_path_factory.mktemp("bench")
-    ledger = Ledger(str(tmp / "ledger.jsonl"))
-    report = run_bench_suite("unit", filter="table1", ledger=ledger)
-    return report, ledger
-
-
-class TestRunBenchSuite:
-    def test_filtered_run_contains_exactly_the_module(self, small_suite):
-        report, _ = small_suite
-        assert [e.name for e in report.entries] == ["module:bench_table1"]
-        entry = report.entries[0]
-        assert entry.kind == "module"
-        assert entry.wall_clock > 0
-
-    def test_module_entry_has_model_costs_and_skew(self, small_suite):
-        report, _ = small_suite
-        entry = report.entries[0]
-        shape, P = MODULE_PROBES.get("bench_table1", DEFAULT_PROBE)
-        assert entry.shape == shape.dims
-        assert entry.P == P
-        assert entry.words > 0
-        assert entry.bound > 0
-        assert entry.attainment == pytest.approx(1.0)
-        assert isinstance(entry.skew, RankSkew)
-        assert entry.skew.ratio == pytest.approx(1.0)
-
-    def test_report_carries_provenance(self, small_suite):
-        report, _ = small_suite
-        assert report.label == "unit"
-        assert report.timestamp > 0
-        assert report.env is not None and "numpy" in report.env
-
-    def test_probe_runs_recorded_in_ledger(self, small_suite):
-        _, ledger = small_suite
-        records = ledger.records()
-        assert len(records) == 1
-        assert records[0].kind == "bench"
-        assert records[0].label == "unit"
-        assert "bench_table1" in records[0].config
-
-    def test_sweep_only_filter_produces_sweep_entries(self):
-        report = run_bench_suite("unit", filter="sweep:alg1:64x16x4:P2")
-        assert [e.name for e in report.entries] == ["sweep:alg1:64x16x4:P2"]
-        entry = report.entries[0]
-        assert entry.kind == "sweep"
-        assert entry.algorithm == "alg1"
-        assert entry.attainment >= 1.0
-
-    def test_sweep_grid_is_the_documented_standard(self):
-        assert len(SWEEP_GRID) == 4
-        assert all(P >= 2 for _, P in SWEEP_GRID)
-
-    def test_model_costs_identical_across_invocations(self):
-        a = run_bench_suite("a", filter="sweep:alg1:32x32x32:P64")
-        b = run_bench_suite("b", filter="sweep:alg1:32x32x32:P64")
-        ea, eb = a.entries[0], b.entries[0]
-        assert (ea.words, ea.rounds, ea.flops, ea.bound, ea.attainment) == (
-            eb.words, eb.rounds, eb.flops, eb.bound, eb.attainment
-        )
-        assert ea.skew == eb.skew

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.obs.bench import repo_root
+from repro.obs.ledger import repo_root
 from repro.obs.dashboard import (
     collect_payload,
     hotspot_rows,

@@ -440,28 +440,6 @@ class TestDriverThreading:
         ]
         assert len(tel.tasks) == 1
 
-    def test_bench_report_telemetry_field(self, tmp_path):
-        from repro.obs.bench import BenchReport, run_bench_suite
-
-        plain = run_bench_suite("t", filter="symbolic:case1")
-        assert plain.telemetry is None
-        assert "telemetry" not in plain.to_dict()
-
-        tel = Telemetry("bench")
-        telemetered = run_bench_suite("t", filter="symbolic:case1",
-                                      telemetry=tel)
-        assert telemetered.telemetry == tel.summary()
-        data = telemetered.to_dict()
-        assert data["telemetry"]["driver"] == "bench"
-        # Round-trips through the BENCH schema (additive, version 1).
-        loaded = BenchReport.from_dict(json.loads(json.dumps(data)))
-        assert loaded.telemetry == telemetered.telemetry
-        # Model numbers are identical either way.
-        for a, b in zip(plain.entries, telemetered.entries):
-            assert (a.name, a.words, a.rounds, a.flops, a.attainment) == (
-                b.name, b.words, b.rounds, b.flops, b.attainment
-            )
-
     def test_large_p_results_independent_of_telemetry(self):
         from repro.analysis.large_p import LargePPoint, run_large_p_sweep
 

@@ -149,98 +149,17 @@ class TestArtifacts:
         assert "binding" in out
 
 
-class TestBenchCommand:
-    FILTER = "sweep:alg1:64x16x4:P2"
-
-    def run_bench(self, tmp_path, *extra):
-        return main([
-            "bench", "--label", "t", "--output", str(tmp_path),
-            "--filter", self.FILTER, *extra,
-        ])
-
-    def test_writes_schema_versioned_bench_file(self, tmp_path, capsys):
-        assert self.run_bench(tmp_path) == 0
-        out = capsys.readouterr().out
-        bench_path = tmp_path / "BENCH_t.json"
-        assert str(bench_path) in out
-        data = json.loads(bench_path.read_text())
-        assert data["schema"] == "repro-bench"
-        assert data["schema_version"] == 1
-        assert data["label"] == "t"
-        [entry] = data["entries"]
-        assert entry["name"] == self.FILTER
-        for field in ("wall_clock", "words", "rounds", "flops", "bound",
-                      "attainment", "skew"):
-            assert field in entry
-        assert entry["skew"]["ratio"] >= 1.0
-
-    def test_appends_to_ledger_by_default(self, tmp_path, capsys):
-        assert self.run_bench(tmp_path) == 0
-        assert self.run_bench(tmp_path) == 0
-        lines = (tmp_path / "repro_ledger.jsonl").read_text().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0])["algorithm"] == "alg1"
-
-    def test_no_ledger_flag(self, tmp_path, capsys):
-        assert self.run_bench(tmp_path, "--no-ledger") == 0
-        assert not (tmp_path / "repro_ledger.jsonl").exists()
-
-    def test_second_identical_run_passes_the_gate(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert self.run_bench(tmp_path, "--write-baseline",
-                              "--baseline", str(baseline)) == 0
-        capsys.readouterr()
-        assert self.run_bench(tmp_path, "--compare",
-                              "--baseline", str(baseline)) == 0
-        out = capsys.readouterr().out
-        assert "GATE PASSED" in out
-
-    def test_perturbed_word_count_trips_the_gate(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert self.run_bench(tmp_path, "--write-baseline",
-                              "--baseline", str(baseline)) == 0
-        data = json.loads(baseline.read_text())
-        data["entries"][0]["words"] += 1.0
-        baseline.write_text(json.dumps(data))
-        capsys.readouterr()
-        assert self.run_bench(tmp_path, "--compare",
-                              "--baseline", str(baseline)) == 1
-        out = capsys.readouterr().out
-        assert "GATE FAILED" in out
-        assert "model-level drift" in out
-
-    def test_missing_baseline_fails_cleanly(self, tmp_path, capsys):
-        assert self.run_bench(tmp_path, "--compare",
-                              "--baseline", str(tmp_path / "none.json")) == 2
-        err = capsys.readouterr().err
-        assert "cannot compare" in err
-        assert "not found" in err
-        assert "Traceback" not in err
-
-    def test_corrupt_baseline_fails_cleanly(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{broken")
-        assert self.run_bench(tmp_path, "--compare",
-                              "--baseline", str(bad)) == 2
-        err = capsys.readouterr().err
-        assert "cannot compare" in err
-        assert "Traceback" not in err
-
-    def test_filter_matching_nothing_exits_2(self, tmp_path, capsys):
-        assert main(["bench", "--label", "t", "--output", str(tmp_path),
-                     "--filter", "no-such-entry"]) == 2
-        assert "no bench entries matched" in capsys.readouterr().err
-
-
 class TestLedgerCommand:
     def populate(self, tmp_path):
-        """Two bench runs -> two ledger records; returns the ledger path."""
+        """Two sweep runs -> two ledger records; returns the ledger path."""
+        path = tmp_path / "repro_ledger.jsonl"
         for label in ("one", "two"):
             assert main([
-                "bench", "--label", label, "--output", str(tmp_path),
-                "--filter", "sweep:alg1:64x16x4:P2",
+                "sweep", "--shapes", "64x16x4", "--procs", "2",
+                "--algorithms", "alg1", "--ledger", str(path),
+                "--label", label,
             ]) == 0
-        return tmp_path / "repro_ledger.jsonl"
+        return path
 
     def test_list_tabulates_records(self, tmp_path, capsys):
         path = self.populate(tmp_path)
@@ -578,11 +497,6 @@ class TestRunOracle:
 
 
 class TestWorkersFlag:
-    def test_bench_rejects_negative_workers(self, tmp_path, capsys):
-        assert main(["bench", "--label", "x", "--output", str(tmp_path),
-                     "--workers", "-1"]) == 2
-        assert "--workers" in capsys.readouterr().err
-
     def test_chaos_rejects_negative_workers(self, capsys):
         assert main(["chaos", "--workers", "-1"]) == 2
         assert "--workers" in capsys.readouterr().err
@@ -680,20 +594,6 @@ class TestTelemetryFlags:
         assert main(["chaos", "--algorithms", "alg1", "--seeds", "1",
                      "--schedules", "duplicate", "--telemetry"]) == 0
         assert "telemetry: driver=chaos" in capsys.readouterr().out
-
-    def test_bench_telemetry_lands_in_bench_file(self, tmp_path, capsys):
-        assert main(["bench", "--label", "tel", "--output", str(tmp_path),
-                     "--filter", "symbolic:case1", "--no-ledger",
-                     "--telemetry"]) == 0
-        data = json.loads((tmp_path / "BENCH_tel.json").read_text())
-        assert data["telemetry"]["driver"] == "bench"
-        assert data["telemetry"]["tasks"] >= 1
-
-    def test_bench_without_telemetry_omits_field(self, tmp_path, capsys):
-        assert main(["bench", "--label", "plain", "--output", str(tmp_path),
-                     "--filter", "symbolic:case1", "--no-ledger"]) == 0
-        data = json.loads((tmp_path / "BENCH_plain.json").read_text())
-        assert "telemetry" not in data
 
 
 class TestTrendCommand:
