@@ -28,6 +28,7 @@ from .array_rounds import (
     allgather_replay,
     reduce_scatter_replay,
     replay_allgather,
+    replay_broadcast,
     replay_reduce_scatter,
 )
 from .barrier import barrier_dissemination
@@ -62,6 +63,12 @@ __all__ = [
     "array_allgather",
     "array_reduce_scatter",
 ]
+
+#: The fewest messages per call from which a broadcast is replayed as array
+#: rounds: below them the Message schedules cost less host time than the
+#: replay's fixed cost, plan building included (measured on a 2-vCPU
+#: x86_64 host; DESIGN.md, section 3a).
+ARRAY_BROADCAST_MIN_MESSAGES = 16
 
 
 class Communicator:
@@ -377,7 +384,22 @@ def parallel_broadcast(
     algorithm: str = "binomial",
     label: str = "",
 ) -> Dict[int, np.ndarray]:
-    """Broadcast over several disjoint groups (``roots[i]`` for ``groups[i]``)."""
+    """Broadcast over several disjoint groups (``roots[i]`` for ``groups[i]``).
+
+    On a fault-free machine, with equal-sized groups and values that are
+    all symbolic or all float arrays of one dtype, a call whose Message
+    schedules would send at least :data:`ARRAY_BROADCAST_MIN_MESSAGES`
+    messages is replayed as array rounds with the same counts
+    (:func:`repro.collectives.array_rounds.replay_broadcast`); data values
+    still travel, through one buffer.  Smaller calls cost less as Messages.
+    """
+    p = len(groups[0]) if groups else 0
+    messages = len(groups) * (p - 1) * (p + 1 if algorithm == "scatter_allgather" else 1)
+    replay = None
+    if messages >= ARRAY_BROADCAST_MIN_MESSAGES:
+        replay = replay_broadcast(machine, groups, roots, values, algorithm)
+    if replay is not None:
+        return _run_replay(machine, groups, "broadcast", label, replay)
     schedules = [
         broadcast_schedule(g, root, values[root], algorithm=algorithm)
         for g, root in zip(groups, roots)

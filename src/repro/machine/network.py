@@ -23,9 +23,11 @@ Collectives (see :mod:`repro.collectives`) are built purely out of rounds,
 so their measured cost is exactly what the paper's analysis predicts.
 
 :meth:`FullyConnectedNetwork.execute_array_rounds` is the same round
-semantics for payload-free replays (symbolic blocks on a fault-free
-machine): each round is three int arrays ``(src, dest, words)``, validated
-with two ``np.bincount`` calls and charged to the same counters.
+semantics for array replays on a fault-free machine: a round is three int
+arrays ``(src, dest, words)``, and an item may hold several consecutive
+rounds as flat arrays plus round bounds; each item is validated with
+``np.bincount`` and charged to the same counters.  Payloads, if any, are
+moved by the caller (:mod:`repro.collectives.array_rounds`).
 
 The per-rank counters are numpy arrays (float64 words, int64 message
 counts).  Every value is a whole number below ``2**53``, so sums are exact
@@ -224,21 +226,27 @@ class FullyConnectedNetwork:
 
     def execute_array_rounds(
         self,
-        rounds: Iterable[Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        rounds: Iterable[Tuple[np.ndarray, ...]],
         tag: str = "",
     ) -> None:
         """Execute consecutive payload-free rounds given as int arrays.
 
-        Each round is ``(src, dest, words)``: message ``k`` of the round
-        moves ``words[k]`` words from rank ``src[k]`` to rank ``dest[k]``.
-        The rules and charges are those of :meth:`execute_round` on the
-        equivalent :class:`~repro.machine.message.Message` list (zero-word
-        messages allowed, as with ``empty_ok=True``): an empty round is
-        free, and each other round costs one round and its largest message
-        on the critical path, and appends one :class:`RoundSummary` tagged
-        ``tag``.  Each round adds to the per-rank counter arrays as it is
-        executed, so a round that fails validation leaves the earlier ones
-        charged.  Nothing is delivered.
+        Each item is one round ``(src, dest, words)`` tagged ``tag`` —
+        message ``k`` moves ``words[k]`` words from rank ``src[k]`` to rank
+        ``dest[k]`` — or several consecutive rounds ``(src, dest, words,
+        bounds, item_tag)`` whose round ``j`` is messages
+        ``bounds[j]:bounds[j + 1]``, all tagged ``item_tag``.  The rules
+        and charges are those of :meth:`execute_round` on the equivalent
+        :class:`~repro.machine.message.Message` lists (zero-word messages
+        allowed, as with ``empty_ok=True``): an empty round is free, and
+        each other round costs one round and its largest message on the
+        critical path, and appends one :class:`RoundSummary`.  All the
+        rounds of an item are validated with one ``np.bincount`` over
+        ``(round, rank)`` keys and charged with one ``np.bincount`` per
+        counter.  An item with an invalid round is instead executed one
+        round at a time, so the rounds before the invalid one stay charged
+        and its own error is raised, exactly as for one-round items.
+        Nothing is delivered.
 
         Raises
         ------
@@ -260,35 +268,35 @@ class FullyConnectedNetwork:
         n = self.n_procs
         edge_keys: List[np.ndarray] = []
         edge_vals: List[np.ndarray] = []
-        links = None  # the (src, dest) arrays of the last round
+        links = None  # the (src, dest) arrays of the last one-round item
         try:
-            for src, dest, words in rounds:
+            for item in rounds:
+                src, dest, words = item[:3]
                 if len(src) == 0:
                     continue
-                same_links = links is not None and src is links[0] and dest is links[1]
-                links = (src, dest)
+                one_round = len(item) == 3
+                same_links = (
+                    one_round and links is not None
+                    and src is links[0] and dest is links[1]
+                )
+                links = (src, dest) if one_round else None
                 src, dest, words = (
                     np.asarray(a, dtype=np.int64) for a in (src, dest, words)
                 )
-                self._validate_array_round(src, dest, words)
-                src_counts = np.bincount(src, minlength=n)
-                dest_counts = np.bincount(dest, minlength=n)
-                if src_counts.max() > 1 or dest_counts.max() > 1:
-                    self._raise_contention(src, dest, src_counts, dest_counts)
-                max_words = int(words.max())
-                total = int(words.sum())
-                self.rounds += 1
-                self.critical_words += max_words
-                self.total_words += total
-                self.round_log.append(
-                    RoundSummary.of_counts(self.rounds, len(src), max_words, total, tag)
-                )
-                # Words are whole numbers far below 2**53, so these float
-                # sums are exact and equal the per-message additions.
-                self.sent_words += np.bincount(src, weights=words, minlength=n)
-                self.recv_words += np.bincount(dest, weights=words, minlength=n)
-                self.sent_messages += src_counts
-                self.recv_messages += dest_counts
+                if one_round:
+                    self._execute_one_round(src, dest, words, tag)
+                else:
+                    bounds = np.asarray(item[3], dtype=np.int64)
+                    if not self._execute_rounds(src, dest, words, bounds, item[4]):
+                        # Some round is invalid: charge round by round up
+                        # to it, which raises its own error.
+                        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                            if lo < hi:
+                                part = src[lo:hi], dest[lo:hi], words[lo:hi]
+                                self._execute_one_round(*part, item[4])
+                                edge_keys.append(part[0] * n + part[1])
+                                edge_vals.append(part[2])
+                        continue
                 if same_links:
                     # Ring schedules reuse one (src, dest) pair every round:
                     # add to its traffic instead of keeping P keys per round.
@@ -298,6 +306,74 @@ class FullyConnectedNetwork:
                     edge_vals.append(words)
         finally:
             self._fold_edges(edge_keys, edge_vals)
+
+    def _execute_one_round(self, src, dest, words, tag: str) -> None:
+        """Validate and charge one non-empty array round."""
+        n = self.n_procs
+        self._validate_array_round(src, dest, words)
+        src_counts = np.bincount(src, minlength=n)
+        dest_counts = np.bincount(dest, minlength=n)
+        if src_counts.max() > 1 or dest_counts.max() > 1:
+            self._raise_contention(src, dest, src_counts, dest_counts)
+        self._charge_array_rounds(
+            src, dest, words, src_counts, dest_counts,
+            [len(src)], [int(words.max())], [int(words.sum())], tag,
+        )
+
+    def _execute_rounds(self, src, dest, words, bounds, tag: str) -> bool:
+        """Validate and charge the rounds of one item, or charge nothing.
+
+        Returns ``False``, with no counter touched, when any round breaks
+        a rule; the caller then replays the item round by round.
+        """
+        n = self.n_procs
+        if not (len(src) == len(dest) == len(words) == bounds[-1] and bounds[0] == 0):
+            raise ValueError(
+                f"array rounds need equal-length src/dest/words spanned by "
+                f"bounds, got {len(src)}/{len(dest)}/{len(words)} and "
+                f"bounds {int(bounds[0])}..{int(bounds[-1])}"
+            )
+        sizes = bounds[1:] - bounds[:-1]
+        smallest = sizes.min()
+        if smallest < 0:
+            raise ValueError("array round bounds must not decrease")
+        ranks = np.concatenate((src, dest))
+        if ranks.min() < 0 or ranks.max() >= n or words.min() < 0 or (src == dest).any():
+            return False
+        # One key per (round, sender) and, in a second block, per (round,
+        # receiver): a rule is broken iff some key repeats.
+        n_rounds = len(sizes)
+        base = np.repeat(np.arange(0, n_rounds * n, n), sizes)
+        if np.bincount(ranks + np.concatenate((base, base + n_rounds * n))).max() > 1:
+            return False
+        if smallest == 0:
+            sizes, bounds = sizes[sizes > 0], bounds[np.flatnonzero(sizes)]
+        starts = bounds[:len(sizes)]
+        self._charge_array_rounds(
+            src, dest, words, np.bincount(src, minlength=n), np.bincount(dest, minlength=n),
+            sizes.tolist(), np.maximum.reduceat(words, starts).tolist(),
+            np.add.reduceat(words, starts).tolist(), tag,
+        )
+        return True
+
+    def _charge_array_rounds(
+        self, src, dest, words, src_counts, dest_counts, sizes, max_words, totals, tag
+    ) -> None:
+        """Charge validated rounds, given each round's message count, largest
+        message and total words."""
+        n = self.n_procs
+        log = self.round_log
+        for count, top, total in zip(sizes, max_words, totals):
+            self.rounds += 1
+            log.append(RoundSummary.of_counts(self.rounds, count, top, total, tag))
+        # Words are whole numbers far below 2**53, so every sum here is exact
+        # in any order and equals the per-message additions.
+        self.critical_words += sum(max_words)
+        self.total_words += sum(totals)
+        self.sent_words += np.bincount(src, weights=words, minlength=n)
+        self.recv_words += np.bincount(dest, weights=words, minlength=n)
+        self.sent_messages += src_counts
+        self.recv_messages += dest_counts
 
     def _validate_array_round(self, src, dest, words) -> None:
         if not len(src) == len(dest) == len(words):

@@ -203,6 +203,82 @@ class TestArrayRounds:
         assert net.edge_words == {}
 
 
+def batch(*rounds, tag="b"):
+    """One multi-round item: the rounds' messages flat, plus round bounds."""
+    flat = [t for r in rounds for t in r]
+    src, dest, words = array_round(*flat)
+    bounds = np.cumsum([0] + [len(r) for r in rounds])
+    return src, dest, words, bounds, tag
+
+
+def state_of(net):
+    return (
+        net.rounds, net.critical_words, net.total_words,
+        net.sent_words.tolist(), net.recv_words.tolist(),
+        net.sent_messages.tolist(), net.recv_messages.tolist(),
+        [vars_of(s) for s in net.round_log], list(net.edge_words.items()),
+    )
+
+
+class TestMultiRoundItems:
+    """A multi-round item charges and refuses exactly as its rounds would
+    one at a time."""
+
+    ROUNDS = [
+        [(0, 1, 3), (1, 2, 0), (2, 0, 7)],
+        [],
+        [(3, 0, 5), (0, 3, 5)],
+        [(0, 1, 2), (1, 0, 4), (2, 3, 2)],
+    ]
+
+    def test_charges_equal_one_round_at_a_time(self):
+        one, many = FullyConnectedNetwork(4), FullyConnectedNetwork(4)
+        one.execute_array_rounds([array_round(*r) for r in self.ROUNDS], tag="b")
+        many.execute_array_rounds([batch(*self.ROUNDS)])
+        assert state_of(many) == state_of(one)
+
+    def test_items_of_both_kinds_mix(self):
+        one, many = FullyConnectedNetwork(4), FullyConnectedNetwork(4)
+        first, rest = self.ROUNDS[0], self.ROUNDS[1:]
+        one.execute_array_rounds([array_round(*first)], tag="a")
+        one.execute_array_rounds([array_round(*r) for r in rest], tag="b")
+        many.execute_array_rounds([array_round(*first), batch(*rest)], tag="a")
+        assert state_of(many) == state_of(one)
+
+    @pytest.mark.parametrize("bad, error", [
+        ([(0, 1, 1), (0, 2, 1)], NetworkContentionError),  # two sends
+        ([(0, 2, 1), (1, 2, 1)], NetworkContentionError),  # two receives
+        ([(0, 7, 1)], NetworkContentionError),  # a rank outside the machine
+        ([(1, 1, 1)], InvalidMessageError),  # a self-send
+        ([(-1, 1, 1)], InvalidMessageError),  # a negative rank
+        ([(0, 1, -1)], InvalidMessageError),  # a negative word count
+    ])
+    @pytest.mark.parametrize("k", [0, 2, 3])
+    def test_invalid_round_keeps_earlier_rounds_and_its_error(self, bad, error, k):
+        rounds = self.ROUNDS[:k] + [bad] + self.ROUNDS[k:]
+        one, many = FullyConnectedNetwork(4), FullyConnectedNetwork(4)
+        with pytest.raises(error) as want:
+            one.execute_array_rounds([array_round(*r) for r in rounds], tag="b")
+        with pytest.raises(error) as got:
+            many.execute_array_rounds([batch(*rounds)])
+        assert str(got.value) == str(want.value)
+        assert state_of(many) == state_of(one)
+        assert many.rounds == sum(1 for r in self.ROUNDS[:k] if r)
+
+    def test_fault_injector_refused(self):
+        net = FullyConnectedNetwork(4)
+        net.fault_injector = FaultInjector(FaultModel())
+        with pytest.raises(ReproError, match="fault injector"):
+            net.execute_array_rounds([batch(*self.ROUNDS)])
+        assert net.rounds == 0
+
+    def test_bounds_must_span_the_messages(self):
+        src, dest, words, bounds, tag = batch(*self.ROUNDS)
+        with pytest.raises(ValueError):
+            FullyConnectedNetwork(4).execute_array_rounds(
+                [(src, dest, words, bounds[:-1], tag)])
+
+
 def vars_of(summary):
     return (summary.index, summary.n_messages, summary.max_words,
             summary.total_words, summary.tags)
