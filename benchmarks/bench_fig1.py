@@ -7,7 +7,7 @@ collectives it participates in.
 
 This harness executes Algorithm 1 on a 27 x 27 x 27 problem with the
 3x3x3 grid and reconstructs exactly that information from the machine
-trace and stores: ownership sizes (1/27th of each matrix), the gathered
+spans and stores: ownership sizes (1/27th of each matrix), the gathered
 9x9 blocks A_{1,3} and B_{3,1}, the three fiber groups, and the words each
 collective moved for this processor.
 """
@@ -66,7 +66,7 @@ def test_figure1_reproduction(benchmark, show):
     assert np.array_equal(store["B_block"], B[18:27, 0:9])
 
     # The three collectives run over exactly the three fibers.
-    events = res.machine.trace.groups_involving(rank)
+    events = [e for e in res.machine.spans.events() if e.involves(rank)]
     kinds = [e.kind for e in events if e.kind in ("allgather", "reduce-scatter")]
     assert sorted(kinds) == ["allgather", "allgather", "reduce-scatter"]
 

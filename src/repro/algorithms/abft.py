@@ -276,7 +276,7 @@ def run_summa_abft(
                 machine.proc(rank(i, j)).store["C"] = sr.zeros(
                     (a_rows, c_cols), like=A
                 )
-        machine.trace.record(
+        machine.spans.record_event(
             "distribute",
             f"ABFT SUMMA blocks on {pr}x{pc} grid + checksum row",
         )
@@ -413,7 +413,7 @@ def run_summa_abft(
             plan = mgr.on_failure(exc, before)
             with mgr.fence():
                 _reconstruct(plan.failed_rank, encoded=True)
-    machine.trace.record(
+    machine.spans.record_event(
         "compute", f"{stages} ABFT SUMMA stages of width {panel}"
     )
 
@@ -595,7 +595,7 @@ def run_alg1_abft(
                     [as_block(ch).reshape(-1) for ch in gathered[r]]
                 )
                 machine.proc(r).store["B_block"] = flat.reshape(r1 - r0, c1b - c0)
-        with machine.trace.measure("local GEMM D = A_block @ B_block", "compute"):
+        with machine.spans.measure("local GEMM D = A_block @ B_block", "compute"):
             for r in range(P):
                 store = machine.proc(r).store
                 a_blk = store["A_block"]

@@ -110,10 +110,10 @@ def _replay_symbolic(
     Rank ``r`` sits at ``np.unravel_index(r, grid.dims)``, the order of
     ``grid.rank``, so per-rank extents are gathers of the per-block
     extents.  The fibers are rows of reshaped views of the rank cube, in
-    the order of ``grid.fibers``.  The spans, legacy records, rounds,
-    per-rank counters and flops are those of the store path; the peak
-    footprint follows the store path's put/free sequence.  Returns the
-    per-phase critical-path words.
+    the order of ``grid.fibers``.  The measured and explicit-cost spans,
+    rounds, per-rank counters and flops are those of the store path; the
+    peak footprint follows the store path's put/free sequence.  Returns
+    the per-phase critical-path words.
     """
     p1, p2, p3 = grid.dims
     P = grid.size
@@ -124,7 +124,7 @@ def _replay_symbolic(
     d_words = e1[c1] * e3[c3]
     a_shard = shard_sizes(a_words, p3, c3)
     b_shard = shard_sizes(b_words, p1, c1)
-    machine.trace.record("distribute", f"inputs onto grid {grid}")
+    machine.spans.record_event("distribute", f"inputs onto grid {grid}")
 
     cube = np.arange(P).reshape(grid.dims)
     phase_words: Dict[str, float] = {}
@@ -140,7 +140,7 @@ def _replay_symbolic(
             array_allgather(machine, G, b_shard[G], collective_algorithm, "B blocks")
     phase_words["allgather_b"] = span_b.cost.words
 
-    with machine.trace.measure("local GEMM D = A_block @ B_block", "compute"):
+    with machine.spans.measure("local GEMM D = A_block @ B_block", "compute"):
         machine.compute_ranks(e1[c1] * e2[c2] * e3[c3])
 
     with machine.span("reduce-scatter-C", kind="collective") as span_c:
@@ -266,7 +266,7 @@ def _run_stores(
     phase_words["allgather_b"] = span_b.cost.words
 
     # ---- Line 6: local computation D = A_block @ B_block --------------- #
-    with machine.trace.measure("local GEMM D = A_block @ B_block", "compute"):
+    with machine.spans.measure("local GEMM D = A_block @ B_block", "compute"):
         for rank in range(grid.size):
             store = machine.proc(rank).store
             a_blk = store["A_block"]

@@ -152,7 +152,7 @@ def run_25d(
                 r0, r1 = block_bounds(n2, q, ii)
                 c0, c1 = block_bounds(n3, q, j)
                 machine.proc(r).store["B0"] = B[r0:r1, c0:c1].copy()
-        machine.trace.record(
+        machine.spans.record_event(
             "distribute", f"2.5D pre-skewed layer-0 blocks on {q}x{q}x{c} grid"
         )
     else:
@@ -166,7 +166,9 @@ def run_25d(
                 r0, r1 = block_bounds(n2, q, i)
                 c0, c1 = block_bounds(n3, q, j)
                 machine.proc(r).store["B0"] = B[r0:r1, c0:c1].copy()
-        machine.trace.record("distribute", f"2.5D layer-0 blocks on {q}x{q}x{c} grid")
+        machine.spans.record_event(
+            "distribute", f"2.5D layer-0 blocks on {q}x{q}x{c} grid"
+        )
 
         # Phase 1: Cannon pre-skew on layer 0.  A(i, j) moves left by i so
         # processor (i, j, 0) holds A(i, (j + i) % q); B(i, j) moves up by j.
@@ -194,7 +196,7 @@ def run_25d(
                 ))
         for dest, payload in machine.exchange(msgs).items():
             machine.proc(dest).store["B0"] = payload
-        machine.trace.record("shift", "layer-0 Cannon pre-skews")
+        machine.spans.record_event("shift", "layer-0 Cannon pre-skews")
 
     # Phase 2: replicate along skewed depth groups.  Layer l's processor
     # (i, j, l) must start from A(i, (j + i + l*stride) % q), which after
@@ -274,7 +276,7 @@ def run_25d(
             deliveries = machine.exchange(msgs)
             for dest, payload in deliveries.items():
                 machine.proc(dest).store["B"] = payload
-    machine.trace.record("compute", f"{stride} Cannon stages per layer")
+    machine.spans.record_event("compute", f"{stride} Cannon stages per layer")
 
     # Sum C contributions across depth fibers onto layer 0.
     if c > 1:
@@ -302,7 +304,7 @@ def run_25d(
                 groups.append(group)
         before = machine.cost
         results = run_schedules(machine, schedules)
-        machine.trace.record(
+        machine.spans.record_event(
             "reduce", "sum C across layers", groups=tuple(groups),
             cost=machine.cost - before,
         )

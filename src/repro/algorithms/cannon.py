@@ -155,14 +155,14 @@ def run_cannon(
         c0, c1 = block_bounds(n3, q, j)
         machine.proc(r).store["B"] = B[r0:r1, c0:c1].copy()
         # The (i, j) processor owns C block (i, j); accumulated over stages.
-    machine.trace.record("distribute", f"Cannon blocks on {q}x{q} grid")
+    machine.spans.record_event("distribute", f"Cannon blocks on {q}x{q} grid")
 
     # Initial skews: A(i, j) -> left by i; B(i, j) -> up by j.
     _rotate(machine, grid_rank, q, "A", axis=1,
             amounts={(i, j): i for i in range(q) for j in range(q)})
     _rotate(machine, grid_rank, q, "B", axis=0,
             amounts={(i, j): j for i in range(q) for j in range(q)})
-    machine.trace.record("shift", "initial skews")
+    machine.spans.record_event("shift", "initial skews")
 
     # q multiply-accumulate + shift stages.
     partials: Dict[tuple, np.ndarray] = {}
@@ -180,7 +180,7 @@ def run_cannon(
             ones = {(i, j): 1 for i in range(q) for j in range(q)}
             _rotate(machine, grid_rank, q, "A", axis=1, amounts=ones)
             _rotate(machine, grid_rank, q, "B", axis=0, amounts=ones)
-    machine.trace.record("compute", f"{q} Cannon stages")
+    machine.spans.record_event("compute", f"{q} Cannon stages")
 
     C = empty_block((n1, n3), like=A)
     for (i, j), r in grid_rank.items():

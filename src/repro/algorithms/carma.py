@@ -208,7 +208,7 @@ def run_carma(
         holdings_c[r] = []
         machine.proc(r).store["A_slab"] = holdings_a[r][0][4]
         machine.proc(r).store["B_slab"] = holdings_b[r][0][4]
-    machine.trace.record("distribute", f"CARMA slabs over {P} processors")
+    machine.spans.record_event("distribute", f"CARMA slabs over {P} processors")
 
     splits: List[str] = []
 
@@ -368,7 +368,7 @@ def run_carma(
         return [(r0, r1, c0, c1, arr) for (r0, r1, c0, c1), arr in by_region.items()]
 
     run_schedule(machine, recurse(tuple(range(P)), (0, n1), (0, n2), (0, n3)))
-    machine.trace.record("compute", f"CARMA recursion, splits: {splits}")
+    machine.spans.record_event("compute", f"CARMA recursion, splits: {splits}")
 
     C = sr.zeros((n1, n3), like=A)
     for r in range(P):

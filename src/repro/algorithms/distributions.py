@@ -198,7 +198,7 @@ def distribute_inputs(
         lo, hi = shard_bounds(b_block.size, grid.p1, c1)
         machine.proc(rank).store["B_shard"] = b_block[lo:hi].copy()
 
-    machine.trace.record("distribute", f"inputs onto grid {grid}")
+    machine.spans.record_event("distribute", f"inputs onto grid {grid}")
     return shape
 
 

@@ -102,7 +102,7 @@ def run_fox(
             r0, r1 = block_bounds(n2, q, i)
             c0, c1 = block_bounds(n3, q, j)
             machine.proc(r).store["B"] = B[r0:r1, c0:c1].copy()
-    machine.trace.record("distribute", f"Fox blocks on {q}x{q} grid")
+    machine.spans.record_event("distribute", f"Fox blocks on {q}x{q} grid")
 
     partials: Dict[tuple, np.ndarray] = {}
     row_groups = [tuple(rank(i, j) for j in range(q)) for i in range(q)]
@@ -139,7 +139,7 @@ def run_fox(
                     ))
             for dest, payload in machine.exchange(msgs).items():
                 machine.proc(dest).store["B"] = payload
-    machine.trace.record("compute", f"{q} Fox stages")
+    machine.spans.record_event("compute", f"{q} Fox stages")
 
     C = empty_block((n1, n3), like=A)
     for i in range(q):

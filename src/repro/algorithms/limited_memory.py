@@ -153,7 +153,7 @@ def run_alg1_chunked(
             machine.compute(rank, float(a_panel.shape[0] * step * n3))
             store.free("B_slice")
     phase_words["allgather_b"] = (machine.cost - before).words
-    machine.trace.record("compute", f"chunked gather-multiply, {chunks} slices")
+    machine.spans.record_event("compute", f"chunked gather-multiply, {chunks} slices")
 
     # Reduce-Scatter D along p2-fibers, exactly as in the plain algorithm.
     before = machine.cost

@@ -104,7 +104,7 @@ def run_row_1d(
         machine.compute(r, float(a_rows.shape[0] * n2 * n3))
         r0, r1 = block_bounds(n1, P, r)
         C[r0:r1] = c_rows
-    machine.trace.record("compute", "local GEMM on row shards")
+    machine.spans.record_event("compute", "local GEMM on row shards")
 
     predicted = n2 * n3 * (P - 1) / P
     return OneDResult(
@@ -150,7 +150,7 @@ def run_outer_1d(
         machine.proc(r).store["D"] = d
         machine.compute(r, float(n1 * (k1 - k0) * n3))
         partials[r] = d.reshape(-1)
-    machine.trace.record("compute", "local rank-(n2/P) outer products")
+    machine.spans.record_event("compute", "local rank-(n2/P) outer products")
 
     rs_alg = {"recursive_doubling": "recursive_halving"}.get(
         collective_algorithm, collective_algorithm

@@ -113,7 +113,7 @@ def run_summa(
                  block_bounds(n3, pc, j)[1] - block_bounds(n3, pc, j)[0]),
                 like=A,
             )
-    machine.trace.record("distribute", f"SUMMA blocks on {pr}x{pc} grid")
+    machine.spans.record_event("distribute", f"SUMMA blocks on {pr}x{pc} grid")
 
     panel = math.gcd(n2 // pr, n2 // pc)
     stages = n2 // panel
@@ -162,7 +162,7 @@ def run_summa(
                     machine.proc(r).store["C"], sr.matmul(a_p, b_p)
                 )
                 machine.compute(r, float(a_p.shape[0] * panel * b_p.shape[1]))
-    machine.trace.record("compute", f"{stages} SUMMA stages of width {panel}")
+    machine.spans.record_event("compute", f"{stages} SUMMA stages of width {panel}")
 
     C = empty_block((n1, n3), like=A)
     for i in range(pr):

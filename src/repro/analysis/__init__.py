@@ -29,7 +29,6 @@ from .projections import (
 from .strong_scaling import ScalingPoint, communication_efficiency, scaling_sweep
 from .sweep import SweepRecord, sweep
 from .tables import format_number, format_series, format_table
-from .traffic import TrafficSummary, communication_graph, traffic_summary
 from .verification import (
     BackendCrossCheck,
     BoundCheck,
@@ -63,7 +62,6 @@ __all__ = [
     "ScalingPoint",
     "THEORY_EXPONENTS",
     "SweepRecord",
-    "TrafficSummary",
     "assignment_projection_sizes",
     "case_remainder",
     "check_cost_against_bound",
@@ -93,7 +91,5 @@ __all__ = [
     "regime_exponents",
     "scaling_sweep",
     "sweep",
-    "communication_graph",
     "total_projection_words",
-    "traffic_summary",
 ]

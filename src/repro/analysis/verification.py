@@ -136,7 +136,7 @@ def machine_accounting(machine) -> Dict[str, object]:
         "events": [
             (e.name, e.kind, e.groups, e.cost)
             + tuple(tuple(np.asarray(getattr(e, f)).tolist()) for f in _RANK_VECTORS)
-            for e in machine.trace.recorder.events()
+            for e in machine.spans.events()
         ],
         "peak_memory": machine.peak_memory_words(),
     }

@@ -136,7 +136,7 @@ class Communicator:
     def _run(self, schedule: Schedule, kind: str, label: str) -> Any:
         # A measured event span: cost and exact per-rank word/message deltas
         # are captured from machine counter snapshots on entry/exit.
-        with self.machine.trace.measure(label, kind, groups=(self.ranks,)):
+        with self.machine.spans.measure(label, kind, groups=(self.ranks,)):
             result = run_schedule(self.machine, schedule)
         return result
 
@@ -253,7 +253,7 @@ class Communicator:
 
 def _measure(machine: Machine, groups: Sequence[Sequence[int]], kind: str, label: str):
     """The event span attributing one parallel collective's exact cost."""
-    return machine.trace.measure(label, kind, groups=tuple(tuple(g) for g in groups))
+    return machine.spans.measure(label, kind, groups=tuple(tuple(g) for g in groups))
 
 
 def _run_replay(

@@ -49,9 +49,7 @@ from .semiring import (
     resolve_semiring,
 )
 from .sequential import FastMemory, IOStats
-from .spmd import CollectiveRequest, RankContext, spmd_run
 from .store import LocalStore
-from .trace import Trace, TraceEvent
 
 __all__ = [
     "BACKENDS",
@@ -73,8 +71,6 @@ __all__ = [
     "FastMemory",
     "IOStats",
     "Processor",
-    "RankContext",
-    "CollectiveRequest",
     "RecoveryConfig",
     "RecoveryManager",
     "RecoveryPlan",
@@ -87,9 +83,6 @@ __all__ = [
     "SYMBOLIC_BACKEND",
     "SymbolicBackend",
     "SymbolicBlock",
-    "spmd_run",
-    "Trace",
-    "TraceEvent",
     "ZERO_COST",
     "active_injector",
     "as_block",

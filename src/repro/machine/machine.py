@@ -2,7 +2,7 @@
 
 :class:`Machine` bundles a :class:`~repro.machine.network.FullyConnectedNetwork`,
 the per-rank flop counters, a :class:`~repro.machine.cost.CostModel`, a
-:class:`~repro.machine.trace.Trace` and up to ``P``
+:class:`~repro.obs.span.SpanRecorder` and up to ``P``
 :class:`~repro.machine.processor.Processor` objects, each created with its
 store on the first :meth:`Machine.proc` call for its rank.  Algorithms
 obtain communicators from it (see :mod:`repro.collectives.communicator`)
@@ -39,13 +39,13 @@ import numpy as np
 
 from ..exceptions import FaultDetectedError
 from ..obs.metrics import MetricsRegistry
+from ..obs.span import SpanRecorder
 from .backend import Backend, resolve_backend
 from .cost import Cost, CostModel
 from .faults import active_injector, coerce_injector
 from .message import Message
 from .network import FullyConnectedNetwork
 from .processor import Processor
-from .trace import Trace
 
 __all__ = ["Machine", "CounterSnapshot"]
 
@@ -175,7 +175,9 @@ class Machine:
         else:
             self.network.fault_injector = active_injector()
         self.metrics = MetricsRegistry()
-        self.trace = Trace(machine=self)
+        #: The run's span tree; collectives and compute phases record
+        #: their event spans here.
+        self.spans = SpanRecorder(self)
 
     # ------------------------------------------------------------------ #
     # access                                                             #
@@ -239,17 +241,17 @@ class Machine:
             self.flops[ranks] += flops
 
     def span(self, name: str, kind: str = "phase", groups=()):
-        """Open a nested, auto-measured trace span (context manager).
+        """Open a nested, auto-measured span (context manager).
 
         Example
         -------
         >>> m = Machine(2)
         >>> with m.span("allgather-A", kind="collective"):
         ...     pass  # collectives run here attribute to this span
-        >>> m.trace.spans[0].name
+        >>> m.spans.roots[0].name
         'allgather-A'
         """
-        return self.trace.span(name, kind=kind, groups=groups)
+        return self.spans.span(name, kind=kind, groups=groups)
 
     # ------------------------------------------------------------------ #
     # counters                                                           #
@@ -317,14 +319,14 @@ class Machine:
         )
 
     def reset_counters(self) -> None:
-        """Zero all cost counters, the trace and metrics; stores keep data."""
+        """Zero all cost counters, the spans and metrics; stores keep data."""
         self.network.reset()
         self.flops.fill(0.0)
-        self.trace.clear()
+        self.spans.clear()
         self.metrics.reset()
 
     def reset(self) -> None:
-        """Full reset: counters, trace, and every processor's store."""
+        """Full reset: counters, spans, and every processor's store."""
         self.reset_counters()
         for p in self._processors.values():
             p.store.clear()
@@ -359,9 +361,9 @@ class Machine:
         per-rank attribution when it reconciles exactly with the network
         counters (the zero-drift invariant), and falls back to the raw
         cumulative counters when some events were recorded with explicit
-        costs only (the legacy ``trace.record`` path carries no per-rank
-        attribution).  Either way the statistics describe exactly the words
-        the machine moved.
+        costs only (:meth:`~repro.obs.span.SpanRecorder.record_event`
+        carries no per-rank attribution).  Either way the statistics
+        describe exactly the words the machine moved.
         """
         from ..obs.metrics import rank_skew
 
@@ -375,7 +377,7 @@ class Machine:
                 f"'recv_words' or 'flops'"
             )
         span_sums = np.zeros(self.n_procs)
-        for event in self.trace.recorder.events():
+        for event in self.spans.events():
             per_rank = getattr(event, counter)
             if len(per_rank) == self.n_procs:
                 span_sums += per_rank

@@ -132,7 +132,8 @@ class FullyConnectedNetwork:
     @property
     def edge_words(self) -> Dict[tuple, float]:
         """Cumulative words per directed ``(src, dest)`` link — the traffic
-        matrix, used by :mod:`repro.analysis.traffic`."""
+        matrix, compared across backends by
+        :func:`~repro.analysis.verification.cross_check_backends`."""
         if self._pending_edges:
             edges = self._edge_words
             n = self.n_procs

@@ -7,9 +7,8 @@ moved by every collective is attributed to the right phase — so the
 instrumentation layer is structured around that invariant:
 
 * :mod:`repro.obs.span` — nested, auto-measured spans with per-rank
-  send/recv word counts, message counts and flop deltas.  The machine's
-  legacy flat :class:`~repro.machine.trace.Trace` API is a view over the
-  event spans, so existing callers are unaffected.
+  send/recv word counts, message counts and flop deltas, recorded on
+  each machine's ``spans``.
 * :mod:`repro.obs.metrics` — counters, gauges and histograms in a
   per-machine :class:`~repro.obs.metrics.MetricsRegistry`, fed
   automatically as event spans close.

@@ -123,7 +123,7 @@ class JSONLinesExporter:
         """All records in file order (meta, spans, metrics, ranks, summary)."""
         update_machine_gauges(machine)
         out: List[dict] = [_meta_record(machine)]
-        out.extend(s.to_record() for s in machine.trace.recorder.iter_spans())
+        out.extend(s.to_record() for s in machine.spans.iter_spans())
         if attainment is not None:
             out.append(attainment_record(attainment))
         out.extend(
@@ -201,7 +201,7 @@ class ChromeTraceExporter:
             })
 
         max_depth = 0
-        for span in machine.trace.recorder.iter_spans():
+        for span in machine.spans.iter_spans():
             max_depth = max(max_depth, span.depth)
             args = {
                 "kind": span.kind,

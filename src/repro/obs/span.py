@@ -1,4 +1,4 @@
-"""Span-based tracing: the nested replacement for the flat event trace.
+"""Span-based tracing: the machine's record of where cost was incurred.
 
 A :class:`Span` is one timed region of a simulated execution — a collective,
 a compute phase, or a user-defined block opened with
@@ -24,10 +24,9 @@ from counter snapshots, so attribution is exact by construction — the same
 words the network counted are the words the spans report (the "zero drift"
 invariant tested in ``tests/obs/test_exporters.py``).
 
-Spans marked ``event=True`` are the unit-of-accounting leaves; the legacy
-:class:`~repro.machine.trace.Trace` API (``by_kind``, ``total_cost``,
-``groups_involving``) is a flat view over exactly those spans, so code
-written against the old flat trace keeps working unchanged.
+Spans marked ``event=True`` are the unit-of-accounting leaves;
+:meth:`SpanRecorder.events` lists exactly those, in execution order, and
+callers filter that list by ``kind`` or :meth:`Span.involves`.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ __all__ = ["Span", "SpanRecorder"]
 
 def _zero_cost():
     # Imported lazily: obs.span sits below the machine layer in the import
-    # graph (machine.trace imports it), so a module-level import of
+    # graph (machine.machine imports it), so a module-level import of
     # machine.cost would be circular for some import entry points.
     from ..machine.cost import Cost
 
@@ -71,16 +70,17 @@ class Span:
         Free-form label (e.g. ``"A blocks"`` or ``"allgather-A"``).
     kind:
         Category: ``"allgather"``, ``"reduce-scatter"``, ``"compute"``,
-        ``"phase"``, ...  Event spans reuse the legacy trace kinds.
+        ``"phase"``, ...  Event spans name the operation
+        (``"allgather"``, ``"compute"``, ``"distribute"``, ...).
     groups:
         Processor groups involved (tuple of rank tuples); empty for purely
         local or structural spans.
     event:
-        True for unit-of-accounting leaf spans — the spans the legacy
-        :class:`~repro.machine.trace.Trace` view exposes and the spans
-        whose per-rank counters must sum to the machine's cumulative
-        counters.  Structural (``event=False``) spans carry *inclusive*
-        costs and exist for grouping/timeline purposes only.
+        True for unit-of-accounting leaf spans — the spans
+        :meth:`SpanRecorder.events` lists and whose per-rank counters
+        must sum to the machine's cumulative counters.  Structural
+        (``event=False``) spans carry *inclusive* costs and exist for
+        grouping/timeline purposes only.
     start_time, end_time:
         Modelled machine time (``CostModel.time`` of the cumulative cost)
         at open and close; zero when the recorder has no machine attached.
@@ -285,10 +285,11 @@ class SpanRecorder:
     ) -> Span:
         """Record an instantaneous event span with an explicit cost.
 
-        This is the legacy ``Trace.record`` path.  With a machine attached
-        the event is placed on the timeline ending *now* and spanning the
-        modelled time of ``cost``; per-rank attribution is not available
-        (the cost was measured by the caller).
+        Algorithms mark their distribution and compute phases this way.
+        With a machine attached the event is placed on the timeline ending
+        *now* and spanning the modelled time of ``cost``; per-rank
+        attribution is not available (the cost was measured by the
+        caller).
         """
         span = self._open(label, kind, groups, event=True)
         span.cost = _zero_cost() if cost is None else cost
@@ -340,7 +341,7 @@ class SpanRecorder:
             yield from root.walk()
 
     def events(self) -> List[Span]:
-        """Event spans only, in creation order — the legacy flat trace."""
+        """Event spans only, in creation order."""
         return [s for s in self.iter_spans() if s.event]
 
     @property

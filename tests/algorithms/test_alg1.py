@@ -80,6 +80,36 @@ class TestExactCosts:
         assert res.cost.rounds == 0
 
 
+class TestFiberLocality:
+    """On a ``p1 x p2 x p3`` grid Algorithm 1 talks only within its three
+    fibers, so its traffic matrix is sparse and evenly loaded."""
+
+    GRID = ProcessorGrid(2, 3, 2)
+
+    @pytest.fixture
+    def machine(self, rng):
+        A, B = rng.random((12, 12)), rng.random((12, 12))
+        return run_alg1(A, B, self.GRID).machine
+
+    def test_links_join_ranks_one_coordinate_apart(self, machine):
+        links = [link for link, words in machine.network.edge_words.items() if words]
+        assert links
+        for src, dest in links:
+            coords = np.array([self.GRID.coord(src), self.GRID.coord(dest)])
+            assert np.count_nonzero(coords[0] != coords[1]) == 1
+
+    def test_degree_bounded_by_fiber_sizes(self, machine):
+        adjacent = np.zeros((self.GRID.size,) * 2, dtype=bool)
+        for (src, dest), words in machine.network.edge_words.items():
+            adjacent[src, dest] = adjacent[dest, src] = words > 0
+        p1, p2, p3 = self.GRID.dims
+        assert adjacent.sum(axis=1).max() <= (p1 - 1) + (p2 - 1) + (p3 - 1)
+
+    def test_sent_words_equal_across_ranks(self, machine):
+        sent = machine.network.sent_words
+        assert sent.min() > 0 and sent.min() == sent.max()
+
+
 class TestTightness:
     """Algorithm 1 with the Section 5.2 grid attains Theorem 3 exactly —
     the constants 1, 2 and 3 are tight."""

@@ -132,7 +132,7 @@ class TestC25D:
         A, B = rng.random((16, 16)), rng.random((16, 16))
         res_c1 = run_25d(A, B, q=4, c=1)
         res_c4 = run_25d(A, B, q=4, c=4)
-        shifts_c1 = sum(1 for e in res_c1.machine.trace.events if e.kind == "shift")
+        shifts_c1 = sum(1 for e in res_c1.machine.spans.events() if e.kind == "shift")
         # Layered run executes fewer shift stages (q/c - 1 per layer).
         assert res_c4.cost.rounds < res_c1.cost.rounds or shifts_c1 >= 0
 

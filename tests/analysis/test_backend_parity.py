@@ -178,7 +178,7 @@ def _alg1_run(A, B, grid, collective, keep_blocks, fallback, backend):
 def _span_tree(result):
     return [
         (s.name, s.kind, s.event, s.depth, s.cost)
-        for s in result.machine.trace.recorder.iter_spans()
+        for s in result.machine.spans.iter_spans()
     ]
 
 

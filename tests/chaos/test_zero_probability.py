@@ -40,7 +40,7 @@ def test_templates_classify():
 
 
 def _span_records(machine):
-    return [span.to_record() for span in machine.trace.recorder.iter_spans()]
+    return [span.to_record() for span in machine.spans.iter_spans()]
 
 
 def _metrics_export(machine):

@@ -221,7 +221,7 @@ class TestSelection:
         parallel_allgather(sym, groups, {r: SymbolicBlock((r + 1,)) for r in range(6)})
         parallel_allgather(data, groups, {r: np.ones(r + 1) for r in range(6)})
         assert sym.network.round_log and _counters(sym) == _counters(data)
-        assert sym.trace.events[0].cost == data.trace.events[0].cost
+        assert sym.spans.events()[0].cost == data.spans.events()[0].cost
 
 
 # --------------------------------------------------------------------- #
@@ -251,7 +251,7 @@ def _broadcast_inputs(seed, backend):
 
 def _broadcast_run(groups, backend, run):
     machine = Machine(sum(len(g) for g in groups) + IDLE, backend=backend)
-    with machine.trace.measure("bcast", "broadcast", groups=tuple(groups)):
+    with machine.spans.measure("bcast", "broadcast", groups=tuple(groups)):
         result = run(machine)
     return machine, result
 

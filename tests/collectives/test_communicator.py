@@ -55,9 +55,9 @@ class TestTraceRecording:
         m = Machine(4)
         comm = m.comm_world()
         comm.allgather({r: np.zeros(2) for r in range(4)}, label="test-ag")
-        events = m.trace.by_kind("allgather")
+        events = [e for e in m.spans.events() if e.kind == "allgather"]
         assert len(events) == 1
-        assert events[0].label == "test-ag"
+        assert events[0].name == "test-ag"
         assert events[0].cost.words == m.cost.words > 0
 
 

@@ -122,7 +122,7 @@ class TestFigure1:
     def test_three_collectives_involve_the_processor(self):
         A, B = random_pair(self.shape, seed=1)
         res = run_alg1(A, B, self.grid)
-        events = res.machine.trace.groups_involving(self.rank)
+        events = [e for e in res.machine.spans.events() if e.involves(self.rank)]
         kinds = [e.kind for e in events if e.kind in ("allgather", "reduce-scatter")]
         assert kinds.count("allgather") == 2
         assert kinds.count("reduce-scatter") == 1
@@ -136,7 +136,7 @@ class TestFigure1:
             self.grid.fiber(2, self.coord),
         }
         seen = set()
-        for e in res.machine.trace.groups_involving(self.rank):
+        for e in res.machine.spans.events():
             for group in e.groups:
                 if self.rank in group:
                     seen.add(tuple(group))

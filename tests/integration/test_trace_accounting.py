@@ -1,7 +1,7 @@
 """Accounting consistency: traces, counters, and cost invariants.
 
 The machine exposes the same information through several views (critical
-path cost, per-processor counters, trace events, edge words).  These tests
+path cost, per-processor counters, event spans, edge words).  These tests
 pin the invariants tying them together on real algorithm runs — if any
 accounting path drifted, the reproduction's exactness claims would be
 untrustworthy.
@@ -12,6 +12,7 @@ import pytest
 
 from repro.algorithms import ProcessorGrid, run_alg1, run_cannon, run_summa
 from repro.core import ProblemShape
+from repro.machine import Cost
 from repro.workloads import random_pair
 
 
@@ -25,12 +26,12 @@ def alg1_run(rng):
 class TestTraceConsistency:
     def test_trace_cost_sums_to_machine_cost(self, alg1_run):
         m = alg1_run.machine
-        total = m.trace.total_cost()
+        total = sum((e.cost for e in m.spans.events()), Cost())
         assert total.words == pytest.approx(m.cost.words)
         assert total.rounds == m.cost.rounds
 
     def test_collective_events_cover_all_phases(self, alg1_run):
-        kinds = [e.kind for e in alg1_run.machine.trace.events]
+        kinds = [e.kind for e in alg1_run.machine.spans.events()]
         assert kinds.count("allgather") == 2
         assert kinds.count("reduce-scatter") == 1
         assert "distribute" in kinds

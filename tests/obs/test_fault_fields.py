@@ -90,14 +90,14 @@ class TestConservationAtSpanClose:
 class TestMetricsSurface:
     def test_fault_counters_appear_only_on_faults(self):
         machine = Machine(2)
-        with machine.trace.recorder.measure("clean", "exchange"):
+        with machine.spans.measure("clean", "exchange"):
             machine.exchange([msg()])
         names = {snap["name"] for snap in machine.metrics.collect()}
         assert "faults_injected_total" not in names
 
     def test_fault_counters_accumulate_per_kind(self):
         machine = duplicating_machine()
-        with machine.trace.recorder.measure("dup", "exchange"):
+        with machine.spans.measure("dup", "exchange"):
             machine.exchange([msg(words=4)])
         counter = machine.metrics.counter("words_resent_total", kind="exchange")
         assert counter.value == 4.0

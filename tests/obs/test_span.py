@@ -1,4 +1,4 @@
-"""Tests for span tracing (repro.obs.span) and the legacy Trace view."""
+"""Tests for span tracing (repro.obs.span) and the machine's span recorder."""
 
 import numpy as np
 import pytest
@@ -81,7 +81,7 @@ class TestMeasurement:
     def test_structural_span_cost_is_inclusive(self):
         machine = Machine(2)
         with machine.span("outer") as outer:
-            with machine.trace.measure("leaf", "allgather") as leaf:
+            with machine.spans.measure("leaf", "allgather") as leaf:
                 one_round(machine)
         assert leaf.event and not outer.event
         assert outer.cost.words == leaf.cost.words == 4
@@ -109,39 +109,39 @@ class TestRecordEvent:
         machine = Machine(2)
         one_round(machine, words=8)
         cost = Cost(rounds=1, words=8)
-        span = machine.trace.recorder.record_event("x", "y", cost=cost)
+        span = machine.spans.record_event("x", "y", cost=cost)
         assert span.end_time == machine.time
         assert span.start_time == pytest.approx(
             machine.time - machine.cost_model.time(cost)
         )
 
 
-class TestLegacyTraceView:
+class TestEventView:
     def test_events_only_in_flat_view(self):
         machine = Machine(2)
         with machine.span("structural"):
-            machine.trace.record("compute", "gemm", cost=Cost(flops=5))
-        # The flat view sees the event, not the structural span.
-        assert len(machine.trace) == 1
-        [ev] = machine.trace.events
-        assert (ev.kind, ev.label) == ("compute", "gemm")
-        assert machine.trace.total_cost("compute").flops == 5
+            machine.spans.record_event("compute", "gemm", cost=Cost(flops=5))
+        # The event list sees the event, not the structural span.
+        [ev] = machine.spans.events()
+        assert (ev.kind, ev.name) == ("compute", "gemm")
+        assert ev.cost.flops == 5
         # The span tree sees both.
-        assert len(machine.trace.recorder) == 2
+        assert len(machine.spans) == 2
 
-    def test_by_kind_and_groups_involving(self):
+    def test_filter_by_kind_and_rank(self):
         machine = Machine(4)
-        machine.trace.record("allgather", "A", groups=((0, 1),))
-        machine.trace.record("reduce-scatter", "C", groups=((2, 3),))
-        assert [e.label for e in machine.trace.by_kind("allgather")] == ["A"]
-        assert [e.label for e in machine.trace.groups_involving(3)] == ["C"]
+        machine.spans.record_event("allgather", "A", groups=((0, 1),))
+        machine.spans.record_event("reduce-scatter", "C", groups=((2, 3),))
+        events = machine.spans.events()
+        assert [e.name for e in events if e.kind == "allgather"] == ["A"]
+        assert [e.name for e in events if e.involves(3)] == ["C"]
 
     def test_collectives_record_event_spans(self):
         machine = Machine(4)
         comm = machine.comm_world()
         chunks = {r: np.arange(2.0) + r for r in range(4)}
         comm.allgather(chunks)
-        events = machine.trace.recorder.events()
+        events = machine.spans.events()
         assert len(events) == 1
         assert events[0].kind == "allgather"
         assert events[0].groups == ((0, 1, 2, 3),)
@@ -150,7 +150,7 @@ class TestLegacyTraceView:
 
     def test_metrics_fed_on_event_close(self):
         machine = Machine(2)
-        with machine.trace.measure("leaf", "allgather"):
+        with machine.spans.measure("leaf", "allgather"):
             one_round(machine)
         assert "events_total" in machine.metrics
         assert machine.metrics.counter("events_total", kind="allgather").value == 1

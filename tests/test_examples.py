@@ -20,7 +20,6 @@ EXPECTED_SNIPPETS = {
     "algorithm_comparison.py": "alg1",
     "collectives_demo.py": "merged",
     "sequential_io_study.py": "resident-C optimal",
-    "spmd_programming.py": "hand-written SPMD",
     "extensions_study.py": "Theorem 3",
 }
 
