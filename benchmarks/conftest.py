@@ -5,15 +5,10 @@ asserts the reproduction claims, and times its core computation with
 pytest-benchmark.  Each module is also runnable standalone
 (``python benchmarks/bench_table1.py``) to print the artifact.
 
-Setting ``REPRO_LEDGER=/path/to/ledger.jsonl`` in the environment makes
-every benchmark test append a wall-clock timing record (``kind="pytest"``,
-the test's node id as the config) to the persistent experiment ledger, so
-``pytest benchmarks/`` invocations join the ledger's trajectory that
-``repro trend`` reads.  ``REPRO_LEDGER_LABEL`` tags the records.
+Performance history is not recorded from here: a performance PR commits
+the end-to-end harness's own output as ``BENCH_pr<N>.jsonl`` (see
+docs/OBSERVABILITY.md), and ``repro trend`` reads it.
 """
-
-import os
-import time
 
 import pytest
 
@@ -28,46 +23,3 @@ def show(capsys):
             print(text)
 
     return _show
-
-
-@pytest.fixture(autouse=True)
-def _ledger_timing(request):
-    """Append a timing record per benchmark test when REPRO_LEDGER is set.
-
-    Harness timing records carry no model costs (the harness asserts them
-    itself); they are zero-filled and tagged ``kind="pytest"`` so ledger
-    queries can include or exclude them explicitly.
-    """
-    path = os.environ.get("REPRO_LEDGER")
-    if not path:
-        yield
-        return
-    start = time.perf_counter()
-    yield
-    elapsed = time.perf_counter() - start
-    from repro.obs.ledger import (
-        Ledger,
-        RunRecord,
-        environment_fingerprint,
-        git_revision,
-    )
-
-    Ledger(path).append(
-        RunRecord(
-            algorithm="pytest-harness",
-            config=request.node.nodeid,
-            shape=(0, 0, 0),
-            P=0,
-            words=0.0,
-            rounds=0,
-            flops=0.0,
-            bound=0.0,
-            attainment=0.0,
-            wall_clock=elapsed,
-            label=os.environ.get("REPRO_LEDGER_LABEL", ""),
-            kind="pytest",
-            timestamp=time.time(),
-            git_sha=git_revision(),
-            env=environment_fingerprint(),
-        )
-    )

@@ -171,7 +171,6 @@ def cross_check_backends(
     """
     from ..algorithms.registry import run_algorithm
     from ..machine.semiring import resolve_semiring
-    from ..obs.attainment import bound_attainment
 
     rng = np.random.default_rng(seed)
     A = rng.random((shape.n1, shape.n2))

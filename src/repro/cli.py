@@ -37,12 +37,6 @@ __all__ = ["main", "build_parser"]
 DEFAULT_SWEEP_SHAPES = "16x16x16,32x8x4,64x16x4,32x32x32,96x24x6,48x24x12"
 DEFAULT_SWEEP_PROCS = "4,16"
 
-#: Metrics the trend/trajectory commands track; mirrors
-#: :data:`repro.obs.analytics.METRICS` (kept literal so building the
-#: parser stays import-light).
-TREND_METRICS = ("wall_clock", "words", "attainment", "skew_ratio")
-
-
 class UsageError(ReproError):
     """Command-line input that parsed but that the command cannot use."""
 
@@ -138,20 +132,13 @@ def _add_backend(p: argparse.ArgumentParser) -> None:
 
 def _add_sources(p: argparse.ArgumentParser) -> None:
     """The ``trend``/``dashboard`` artifact sources, read by :func:`_sources`."""
-    p.add_argument("--ledger", metavar="PATH", default=None,
-                   help="ledger file (default: repro_ledger.jsonl at the "
+    p.add_argument("--root", metavar="DIR", default=None,
+                   help="directory holding repro_ledger.jsonl and the "
+                        "BENCH_pr<N>.jsonl harness runs (default: the "
                         "repository root)")
-    p.add_argument("--bench", metavar="PATH", action="append", default=None,
-                   help="BENCH_*.json report to include (repeatable; "
-                        "default: every BENCH_*.json at the repository root)")
-    p.add_argument("--no-bench", action="store_true",
-                   help="ignore BENCH files")
     p.add_argument("--include-faulty", action="store_true",
                    help="include fault-injected ledger records (their model "
                         "costs include recovery resends)")
-    p.add_argument("--window", type=int, default=None, metavar="N",
-                   help="trailing rolling-median window "
-                        "(default 3; needs N+1 samples to judge)")
 
 
 def _add_dims(p: argparse.ArgumentParser) -> None:
@@ -392,52 +379,33 @@ def build_parser() -> argparse.ArgumentParser:
                              "one (fault-injected costs include recovery "
                              "resends, so model costs are expected to "
                              "differ)")
-    l_traj = lsub.add_parser(
-        "trajectory",
-        help="print one metric's time-ordered history per configuration",
-    )
-    l_traj.set_defaults(handler=_cmd_ledger_trajectory)
-    l_traj.add_argument("metric", choices=list(TREND_METRICS),
-                        help="which tracked metric to tabulate")
-    l_traj.add_argument("--algorithm", default=None,
-                        help="only series for this algorithm")
-    l_traj.add_argument("--case", default=None, choices=["1D", "2D", "3D"],
-                        help="only series in this Theorem-3 case")
-    l_traj.add_argument("--include-faulty", action="store_true",
-                        help="include fault-injected records (their model "
-                             "costs include recovery resends)")
-    for l_parser in (l_list, l_show, l_diff, l_traj):
+    for l_parser in (l_list, l_show, l_diff):
         l_parser.add_argument("--path", default=None, metavar="PATH",
                               help="ledger file (default: repro_ledger.jsonl "
                                    "at the repository root)")
 
     p_trend = sub.add_parser(
         "trend",
-        help="rolling-median trend verdicts over the ledger and BENCH files",
+        help="judge the newest ledger sample and harness run against the "
+             "previous one",
     )
     p_trend.set_defaults(handler=_cmd_trend)
     _add_sources(p_trend)
     p_trend.add_argument("--metric", action="append", default=None,
-                         choices=list(TREND_METRICS),
                          help="only these metrics (repeatable; default all)")
     p_trend.add_argument("--algorithm", default=None,
-                         help="only series for this algorithm")
+                         help="only ledger series for this algorithm")
     p_trend.add_argument("--case", default=None, choices=["1D", "2D", "3D"],
-                         help="only series in this Theorem-3 case")
-    p_trend.add_argument("--tolerance", type=float, default=None,
-                         metavar="FRAC",
-                         help="override the wall-clock relative tolerance "
-                              "(default 0.20; model metrics stay exact)")
+                         help="only ledger series in this Theorem-3 case")
     p_trend.add_argument("--all", action="store_true",
-                         help="list every trajectory, including flat ones")
+                         help="list every trajectory with its samples, "
+                              "including flat ones")
     p_trend.add_argument("--json", action="store_true",
                          help="emit the full report as JSON")
     p_trend.add_argument("--check", action="store_true",
-                         help="exit 1 when any trajectory regressed "
-                              "(default: report only, exit 0)")
-    p_trend.add_argument("--advisory", action="store_true",
-                         help="with --check: report regressions but still "
-                              "exit 0 (CI advisory mode)")
+                         help="exit 1 when a ledger model metric regressed "
+                              "or a harness run is not correct (default: "
+                              "report only, exit 0)")
 
     p_dash = sub.add_parser(
         "dashboard",
@@ -446,14 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_dash.set_defaults(handler=_cmd_dashboard)
     p_dash.add_argument("--out", metavar="PATH", default=None,
                         help="output HTML file (default: dashboard.html "
-                             "at the repository root)")
+                             "in the --root directory)")
     _add_sources(p_dash)
     p_dash.add_argument("--telemetry", metavar="PATH", default=None,
                         help="driver-telemetry JSONL export (default: "
-                             "artifacts/telemetry_sweep.jsonl when present)")
+                             "artifacts/telemetry_sweep.jsonl under --root, "
+                             "when present)")
     p_dash.add_argument("--profile", metavar="PATH", default=None,
                         help="collapsed-stack profile (default: "
-                             "artifacts/hotspots_sweep.folded when present)")
+                             "artifacts/hotspots_sweep.folded under --root, "
+                             "when present)")
     p_dash.add_argument("--top", type=int, default=15, metavar="N",
                         help="hotspot table depth (default 15)")
 
@@ -1022,144 +992,76 @@ def _cmd_ledger_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_ledger_trajectory(args: argparse.Namespace) -> int:
-    """``repro ledger trajectory METRIC``: per-series time-ordered table.
-
-    Exits 0 even when nothing matches (an empty history is a valid,
-    empty trajectory — same contract as ``ledger list``).
-    """
-    import datetime
-
-    from .obs.analytics import TrajectoryStore
-
-    path, records = _ledger_records(args)
-    store = TrajectoryStore(include_faulty=args.include_faulty)
-    skipped = 0
-    for rec in records:
-        skipped += not store.add_record(rec)
-
-    keys = [
-        k for k in store.keys()
-        if (args.algorithm is None or k.algorithm == args.algorithm)
-        and (args.case is None or k.case == args.case)
-    ]
-    shown = 0
-    for key in keys:
-        points = store.series(key, args.metric)
-        if not points:
-            continue
-        shown += 1
-        print(f"{key.label()}  ({len(points)} sample(s))")
-        for p in points:
-            when = (
-                datetime.datetime.fromtimestamp(p.timestamp)
-                .strftime("%Y-%m-%d %H:%M:%S")
-                if p.timestamp else "-"
-            )
-            print(f"  {when}  {p.value:<14g} [{p.stream}]"
-                  + (f" label={p.label}" if p.label else ""))
-    if not shown:
-        print(f"no {args.metric} samples in {path}")
-    if skipped:
-        print(f"(skipped {skipped} fault-injected record(s); "
-              f"--include-faulty to include them)", file=sys.stderr)
-    return 0
-
-
 def _sources(args: argparse.Namespace):
-    """``(ledger path or None, BENCH paths, window)`` for trend/dashboard.
-
-    Explicit ``--bench`` files must exist; the defaulted ledger and
-    BENCH discovery may come up empty.
-    """
+    """``(root, ledger path or None, BENCH paths)`` for trend/dashboard."""
     import os
 
-    from .obs.analytics import DEFAULT_WINDOW, discover_bench_files
+    from .obs.analytics import discover_bench_files
+    from .obs.ledger import repo_root
 
-    window = DEFAULT_WINDOW if args.window is None else args.window
-    if window < 1:
-        raise UsageError(f"--window must be >= 1, got {window}")
-    if args.no_bench:
-        bench_paths = []
-    elif args.bench is None:
-        bench_paths = discover_bench_files()
-    else:
-        missing = [p for p in args.bench if not os.path.exists(p)]
-        if missing:
-            raise UsageError(f"no such BENCH file: {', '.join(missing)}")
-        bench_paths = args.bench
-    ledger_path = args.ledger or _default_ledger_path()
+    root = args.root or repo_root()
+    if not os.path.isdir(root):
+        raise UsageError(f"--root {root!r} is not a directory")
+    ledger_path = os.path.join(root, "repro_ledger.jsonl")
     if not os.path.exists(ledger_path):
         ledger_path = None
-    return ledger_path, bench_paths, window
+    return root, ledger_path, discover_bench_files(root)
 
 
 def _cmd_trend(args: argparse.Namespace) -> int:
-    """``repro trend``: rolling-median verdicts over ledger + BENCH files.
+    """``repro trend``: newest-against-previous verdicts.
 
     Exit-code contract (pinned by ``tests/test_cli.py``):
 
     * **0** — analysis ran; without ``--check`` always, with ``--check``
-      when no trajectory regressed (``--advisory`` restores 0 even on
-      regression, for informational CI steps).
-    * **1** — ``--check`` and at least one trajectory regressed.
-    * **2** — usage errors: malformed ledger or BENCH file, bad window.
+      when no ledger model metric regressed and every recorded harness
+      run is correct.  Harness metric verdicts never gate.
+    * **1** — ``--check`` and a ledger regression or an incorrect run.
+    * **2** — usage errors: malformed ledger or BENCH file, bad ``--root``.
     """
     from .exceptions import BaselineError, LedgerError
-    from .obs.analytics import TrajectoryStore, analyze
+    from .obs.analytics import (
+        METRICS, TrajectoryStore, analyze, load_bench_file,
+    )
 
-    ledger_path, bench_paths, window = _sources(args)
+    _root, ledger_path, bench_paths = _sources(args)
     try:
         store = TrajectoryStore.collect(
-            ledger_path=ledger_path,
-            bench_paths=bench_paths,
-            include_faulty=args.include_faulty,
-        )
+            ledger_path, include_faulty=args.include_faulty)
+        runs = [run for path in bench_paths for run in load_bench_file(path)]
     except (LedgerError, BaselineError) as exc:
         raise UsageError(f"cannot read artifacts: {exc}") from None
-    tolerances = (
-        None if args.tolerance is None else {"wall_clock": args.tolerance}
-    )
-    report = analyze(
-        store,
-        metrics=tuple(args.metric) if args.metric else TREND_METRICS,
-        window=window,
-        tolerances=tolerances,
-        algorithm=args.algorithm,
-        case=args.case,
-    )
+    known = set(METRICS).union(*(run.metrics for run in runs))
+    unknown = sorted(set(args.metric or ()) - known)
+    if unknown:
+        raise UsageError(f"unknown --metric {', '.join(unknown)}; known: "
+                         f"{', '.join(sorted(known))}")
+    report = analyze(store, runs, metrics=args.metric,
+                     algorithm=args.algorithm, case=args.case)
     if args.json:
         import json
 
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(report.render(verbose=args.all))
-    if args.check and not report.ok:
-        if args.advisory:
-            print("trend: regression detected (advisory mode, exiting 0)",
-                  file=sys.stderr)
-            return 0
-        return 1
-    return 0
+    return 1 if args.check and not report.ok else 0
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     """``repro dashboard``: write the single-file HTML dashboard.
 
     Exits 0 on a written dashboard (even from partial artifacts — every
-    missing defaulted input degrades to an explicit empty panel), 2 on
-    malformed inputs or a missing ``--bench`` file.
+    missing input degrades to an explicit empty panel), 2 on malformed
+    inputs.
     """
     import os
 
     from .exceptions import BaselineError, LedgerError
-    from .obs.ledger import repo_root
     from .obs.dashboard import (
         DEFAULT_DASHBOARD, collect_payload, write_dashboard,
     )
 
-    root = repo_root()
-    ledger_path, bench_paths, window = _sources(args)
+    root, ledger_path, bench_paths = _sources(args)
     try:
         payload = collect_payload(
             ledger_path=ledger_path,
@@ -1168,7 +1070,6 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
                 root, "artifacts", "telemetry_sweep.jsonl"),
             profile_path=args.profile or os.path.join(
                 root, "artifacts", "hotspots_sweep.folded"),
-            window=window,
             include_faulty=args.include_faulty,
             top=args.top,
         )
@@ -1177,8 +1078,8 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     path = write_dashboard(args.out or os.path.join(root, DEFAULT_DASHBOARD),
                            payload)
     meta = payload["meta"]
-    print(f"wrote {path} ({meta['points']} samples from "
-          f"{len(meta['sources'])} artifact(s))")
+    print(f"wrote {path} ({meta['points']} samples and {meta['runs']} "
+          f"harness runs from {len(meta['sources'])} artifact(s))")
     return 0
 
 

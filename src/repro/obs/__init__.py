@@ -28,17 +28,19 @@ in-run layer measures:
   append-only JSONL run records (model costs, attainment, skew,
   wall-clock, git SHA, environment fingerprint) with query/trajectory/
   merge helpers; the backend of ``repro ledger``.
-* :mod:`repro.obs.analytics` — the ``BENCH_*.json`` reader and
-  trajectory analytics over the ledger and the committed BENCH files:
-  per-metric time series keyed by (algorithm, backend, Theorem-3 case,
-  shape) with a rolling-median trend detector
-  (typed improved/flat/regressed verdicts); the backend of
-  ``repro trend`` and ``repro ledger trajectory``.
+* :mod:`repro.obs.analytics` — the read side of the two committed
+  histories: the ledger's exact model metrics per (algorithm, backend,
+  Theorem-3 case, shape) series, each stream's newest sample judged
+  against the one before it, and the ``BENCH_pr<N>.jsonl`` files (the
+  end-to-end harness's own JSON lines), each PR's point judged against
+  the previous PR's with the metric's own bound; the backend of
+  ``repro trend``.
 * :mod:`repro.obs.dashboard` — the ``repro dashboard`` renderer: one
   self-contained static HTML file (inline JSON + vanilla JS/SVG, zero
-  external requests) with trend verdicts, trajectory sparklines, the
-  Theorem-3 attainment heatmap, words-sent skew bars, the
-  worker-utilization timeline and the profile hotspot table.
+  external requests) with trend verdicts, per-workload harness
+  sparklines and per-layer self times, the Theorem-3 attainment
+  heatmap, words-sent skew bars, the worker-utilization timeline and
+  the profile hotspot table.
 
 Driver-level observability (this layer's third half — the host process
 that orchestrates simulations, rather than the simulated machine):
@@ -106,19 +108,17 @@ from .ledger import (
     merge_ledgers,
 )
 from .analytics import (
-    BENCH_SCHEMA_VERSION,
-    BenchEntry,
-    BenchReport,
     METRICS,
+    HarnessRun,
     SeriesKey,
     TrajectoryPoint,
     TrajectoryStore,
     TrendReport,
     TrendVerdict,
     analyze,
-    detect_trend,
     discover_bench_files,
-    load_bench_report,
+    judge,
+    load_bench_file,
 )
 from .dashboard import (
     collect_payload,
@@ -128,13 +128,11 @@ from .dashboard import (
 
 __all__ = [
     "Attainment",
-    "BENCH_SCHEMA_VERSION",
-    "BenchEntry",
-    "BenchReport",
     "ChromeTraceExporter",
     "Counter",
     "EXPORTERS",
     "Gauge",
+    "HarnessRun",
     "Histogram",
     "JSONLinesExporter",
     "LEDGER_SCHEMA_VERSION",
@@ -161,7 +159,6 @@ __all__ = [
     "capture_stats",
     "collapsed_stacks",
     "collect_payload",
-    "detect_trend",
     "discover_bench_files",
     "environment_fingerprint",
     "export_telemetry_chrome",
@@ -170,7 +167,8 @@ __all__ = [
     "git_revision",
     "hotspot_table",
     "inspect_report",
-    "load_bench_report",
+    "judge",
+    "load_bench_file",
     "load_imbalance",
     "maybe_stage",
     "merge_ledgers",

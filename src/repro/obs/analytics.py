@@ -1,46 +1,37 @@
-"""Trajectory analytics: trend detection over the ledger and BENCH files.
+"""Trajectory analytics: verdicts over the ledger and the committed harness runs.
 
-Every run *emits* rich artifacts — schema-versioned ledger records,
-committed ``BENCH_<label>.json`` reports, driver telemetry, merged
-profiles.  This module is the read side.  It folds every artifact into
-per-metric **time series** and runs a rolling-median regression detector
-over them, the same trajectory-analytics pass a training or serving
-stack runs over its own perf counters:
+Two histories are committed at the repository root, and this module is
+their read side (the backend of ``repro trend`` and ``repro dashboard``):
 
-* :class:`BenchReport` / :func:`load_bench_report` — the reader of the
-  BENCH file schema (one :class:`BenchEntry` per measured row: model
-  costs, Theorem 3 bound, attainment, skew and wall-clock), refusing a
-  missing, corrupt or wrong-schema file with a typed
-  :class:`~repro.exceptions.BaselineError`.
-* :class:`SeriesKey` — the aggregation key ``(algorithm, backend,
-  Theorem-3 case, shape fingerprint)``.  The case comes from
+* **The experiment ledger** (``repro_ledger.jsonl``, :mod:`repro.obs.ledger`).
+  :class:`TrajectoryStore` folds its records into per-metric series keyed
+  by :class:`SeriesKey` ``(algorithm, backend, Theorem-3 case, shape)`` for
+  the exact model metrics in :data:`METRICS` (total words, bound
+  attainment, per-rank ``words_sent`` skew ratio).  The case comes from
   :func:`repro.core.cases.classify`, so a 1D probe and a 3D probe of the
-  same algorithm never share a trend line (their bounds, constants and
-  cost regimes differ by theorem, not by noise).
-* :class:`TrajectoryStore` — collects :class:`TrajectoryPoint` samples
-  for the four tracked metrics (:data:`METRICS`: wall-clock, total
-  words, bound attainment, per-rank ``words_sent`` skew ratio) from any
-  number of ledgers (via :meth:`~repro.obs.ledger.Ledger.records`) and
-  BENCH reports.  Within a series, points are sub-grouped into *streams*
-  (one per entry/record name) so a module-harness timing never trends
-  against a sweep-point timing that happens to share its configuration.
-* :func:`detect_trend` — the changepoint detector.  It compares the
-  median of the trailing ``window`` samples against the median of the
-  preceding history, so a single noisy sample can neither trip nor mask
-  a verdict; the typed verdict is one of :data:`IMPROVED` /
-  :data:`FLAT` / :data:`REGRESSED`.  Model-level metrics (words,
-  attainment, skew) are exact — any drift beyond float representation
-  noise is a verdict — while wall-clock gets a relative tolerance plus
-  an absolute floor, and is only ever compared between samples whose
-  environment fingerprints match (the ledger's own comparability rule).
-* :func:`analyze` — runs the detector over every (series, metric,
-  stream) triple in a store and returns a :class:`TrendReport`, the
-  backend of ``repro trend`` (exit contract under ``--check``: 0 = no
-  regression, 1 = regression detected, 2 = usage error).
+  same algorithm never share a series.  Within a series, samples form
+  *streams* (one per record ``kind:config``).  The newest sample of a
+  stream is judged against the one before it, with no window and no
+  tolerance: these counts are exact, so any worse value is
+  :data:`REGRESSED`, and ``repro trend --check`` fails on it.
+* **The end-to-end harness runs** (``BENCH_pr<N>.jsonl``): the verbatim
+  JSON lines that ``benchmarks/e2e/run.py --seed 0`` and ``--seed 0
+  --trace 1`` print, one file per performance PR.
+  :func:`load_bench_file` pairs each describe line (the one naming its
+  ``workload``) with the result line after it and skips the all-workload
+  summary lines; a malformed file raises
+  :class:`~repro.exceptions.BaselineError`.  Each :class:`HarnessRun`
+  carries the env fingerprint, every metric's value, unit, direction and
+  bound, and ``correct``.  A PR's point is judged against the previous
+  PR's point for the same workload, seed and env fingerprint, with the
+  metric's own ``better`` and ``bound``.  These verdicts are reported
+  but do not gate: one committed run cannot tell a regression from host
+  noise.  A run recorded with ``correct: false`` (a failed op or a
+  seed-0 digest mismatch) does fail ``--check``.
 
-The dashboard (:mod:`repro.obs.dashboard`) renders the same store and
-report as HTML, so the CLI gate and the visual trajectory can never
-disagree about what regressed.
+:func:`analyze` produces both kinds of verdict as one :class:`TrendReport`,
+which the dashboard renders too, so the CLI gate and the HTML view never
+disagree.
 """
 
 from __future__ import annotations
@@ -49,20 +40,15 @@ import dataclasses
 import glob
 import json
 import os
-import statistics
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.cases import classify
 from ..core.shapes import ProblemShape
 from ..exceptions import BaselineError
 from .ledger import Ledger, RunRecord, repo_root
-from .metrics import RankSkew
 
 __all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "BenchEntry",
-    "BenchReport",
-    "load_bench_report",
     "METRICS",
     "IMPROVED",
     "FLAT",
@@ -70,168 +56,29 @@ __all__ = [
     "SeriesKey",
     "TrajectoryPoint",
     "TrajectoryStore",
+    "HarnessRun",
     "TrendVerdict",
     "TrendReport",
     "discover_bench_files",
-    "detect_trend",
-    "rolling_median",
+    "load_bench_file",
+    "judge",
     "analyze",
     "record_metric_value",
     "shape_fingerprint",
     "theorem3_case",
 ]
 
-#: The BENCH file layout version this build reads.
-BENCH_SCHEMA_VERSION = 1
+#: The exact model metrics tracked per ledger series, in report order.
+#: All are oriented so *lower is better* (attainment is ``words / bound``
+#: >= 1; skew ratio is ``max / mean`` >= 1).
+METRICS: Tuple[str, ...] = ("words", "attainment", "skew_ratio")
 
-
-@dataclasses.dataclass(frozen=True)
-class BenchEntry:
-    """One row of a BENCH file: one measured (algorithm, shape, P) point."""
-
-    name: str
-    kind: str  # "module" | "sweep" | "symbolic" | "oracle" | "plan"
-    wall_clock: float
-    algorithm: str
-    config: str
-    shape: Tuple[int, ...]
-    P: int
-    words: float
-    rounds: int
-    flops: float
-    bound: float
-    attainment: float
-    backend: str = "data"
-    skew: Optional[RankSkew] = None
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["shape"] = list(self.shape)
-        out["skew"] = None if self.skew is None else self.skew.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchEntry":
-        try:
-            return cls(
-                name=data["name"],
-                kind=data["kind"],
-                wall_clock=float(data["wall_clock"]),
-                algorithm=data["algorithm"],
-                config=data.get("config", ""),
-                shape=tuple(data["shape"]),
-                P=int(data["P"]),
-                words=float(data["words"]),
-                rounds=int(data["rounds"]),
-                flops=float(data["flops"]),
-                bound=float(data["bound"]),
-                attainment=float(data["attainment"]),
-                backend=data.get("backend", "data"),
-                skew=(
-                    None if data.get("skew") is None
-                    else RankSkew.from_dict(data["skew"])
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BaselineError(f"malformed bench entry: {exc}") from exc
-
-
-@dataclasses.dataclass
-class BenchReport:
-    """One BENCH file: provenance metadata plus one entry per row."""
-
-    label: str
-    entries: List[BenchEntry]
-    timestamp: float = 0.0
-    git_sha: Optional[str] = None
-    env: Optional[dict] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "repro-bench",
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "label": self.label,
-            "timestamp": self.timestamp,
-            "git_sha": self.git_sha,
-            "env": self.env,
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchReport":
-        version = data.get("schema_version")
-        if version != BENCH_SCHEMA_VERSION:
-            raise BaselineError(
-                f"unsupported bench schema_version {version!r} "
-                f"(this build reads version {BENCH_SCHEMA_VERSION})"
-            )
-        try:
-            entries = [BenchEntry.from_dict(e) for e in data["entries"]]
-            return cls(
-                label=data.get("label", ""),
-                entries=entries,
-                timestamp=float(data.get("timestamp", 0.0)),
-                git_sha=data.get("git_sha"),
-                env=data.get("env"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise BaselineError(f"malformed bench report: {exc}") from exc
-
-
-def load_bench_report(path: str) -> BenchReport:
-    """Load a ``BENCH_*.json`` file.
-
-    Raises
-    ------
-    BaselineError
-        If the file is missing, not JSON, or not a supported bench schema —
-        with a message suitable for direct CLI display.
-    """
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise BaselineError(f"BENCH file not found: {path}") from None
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BaselineError(f"cannot read BENCH file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise BaselineError(
-            f"BENCH file {path} is not a bench report object "
-            f"(got {type(data).__name__})"
-        )
-    return BenchReport.from_dict(data)
-
-
-#: The tracked per-series metrics, in report order.
-METRICS: Tuple[str, ...] = ("wall_clock", "words", "attainment", "skew_ratio")
-
-#: Typed trend verdicts.  Every metric is oriented so *lower is better*
-#: (attainment is ``words / bound`` >= 1; skew ratio is ``max / mean`` >= 1).
+#: Typed trend verdicts.
 IMPROVED = "improved"
 FLAT = "flat"
 REGRESSED = "regressed"
 
-#: Relative change a metric must exceed before it is a verdict.  Model
-#: metrics are exact (the tolerance only absorbs float representation
-#: noise across serialization round-trips); wall-clock allows 20%.
-TREND_TOLERANCES: Dict[str, float] = {
-    "wall_clock": 0.20,
-    "words": 1e-9,
-    "attainment": 1e-9,
-    "skew_ratio": 1e-9,
-}
-
-#: Absolute floors: wall-clock micro-entries cannot trip the detector
-#: on scheduler jitter.
-TREND_FLOORS: Dict[str, float] = {
-    "wall_clock": 0.25,
-    "words": 0.0,
-    "attainment": 0.0,
-    "skew_ratio": 0.0,
-}
-
-#: Default trailing-window width for the rolling median.
-DEFAULT_WINDOW = 3
+_BENCH_NAME = re.compile(r"BENCH_pr(\d+)\.jsonl$")
 
 
 def shape_fingerprint(shape: Sequence[int], P: int) -> str:
@@ -244,9 +91,32 @@ def theorem3_case(shape: Sequence[int], P: int) -> str:
     return str(classify(ProblemShape(*shape), P))
 
 
+def judge(
+    previous: float, latest: float, better: str = "lower", bound: float = 0.0
+) -> Tuple[str, float]:
+    """``(verdict, change)`` of ``latest`` against ``previous``.
+
+    ``change`` is the signed relative drift ``(latest - previous) /
+    |previous|`` (absolute when ``previous`` is 0).  A drift beyond
+    ``bound`` in the ``better`` direction is :data:`IMPROVED`, in the
+    other :data:`REGRESSED`; ``bound=0`` makes every change a verdict.
+    """
+    change = (latest - previous) / (abs(previous) or 1.0)
+    gain = -change if better == "lower" else change
+    if gain < -bound:
+        return REGRESSED, change
+    if gain > bound:
+        return IMPROVED, change
+    return FLAT, change
+
+
+# ---------------------------------------------------------------------- #
+# the ledger side                                                        #
+# ---------------------------------------------------------------------- #
+
 @dataclasses.dataclass(frozen=True, order=True)
 class SeriesKey:
-    """What one trend line is *about*: who ran, how, and in which regime."""
+    """What one ledger series is *about*: who ran, how, and in which regime."""
 
     algorithm: str
     backend: str
@@ -256,93 +126,58 @@ class SeriesKey:
     def label(self) -> str:
         return f"{self.algorithm}/{self.backend} case {self.case} {self.shape}"
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class TrajectoryPoint:
-    """One metric sample: when it was measured and where it came from.
+    """One metric sample of a ledger record.
 
-    ``stream`` is the sub-series discriminator (the ledger record's
-    ``kind:config`` or the BENCH entry's name): two streams under one
-    :class:`SeriesKey` describe the same configuration measured by
-    different harnesses, whose wall-clocks are not mutually comparable.
-    ``env_key`` is a flattened environment fingerprint; wall-clock trends
-    never cross it.
+    ``stream`` is the record's ``kind:config``: two streams under one
+    :class:`SeriesKey` are the same configuration recorded by different
+    drivers, and each is judged on its own.
     """
 
     timestamp: float
     value: float
     stream: str
-    env_key: str
-    source: str  # "ledger" | "bench"
     label: str = ""
     git_sha: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    def name(self) -> str:
+        """How the sample is listed: its label, else its commit, else its time."""
+        return self.label or (self.git_sha or "")[:10] or f"t={self.timestamp:g}"
 
 
-def _env_key(env: Optional[dict]) -> str:
-    if not env:
-        return "unknown"
-    return "|".join(f"{k}={env[k]}" for k in sorted(env))
+def record_metric_value(record: RunRecord, metric: str) -> Optional[float]:
+    """Pull one :data:`METRICS` value off a ledger record.
 
-
-def record_metric_value(record, metric: str) -> Optional[float]:
-    """Pull one :data:`METRICS` value off a ledger record or bench entry.
-
-    Returns ``None`` when the record did not measure it (e.g. a
-    skew-less oracle evaluation), so callers can skip the sample instead
-    of inventing a zero.
+    Returns ``None`` when the record did not measure it (a skew-less
+    oracle evaluation), so callers skip the sample instead of inventing
+    a zero.
     """
-    if metric == "skew_ratio":
-        return None if record.skew is None else float(record.skew.ratio)
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; tracked: {METRICS}")
+    if metric == "skew_ratio":
+        return None if record.skew is None else float(record.skew.ratio)
     return float(getattr(record, metric))
 
 
-def discover_bench_files(directory: Optional[str] = None) -> List[str]:
-    """Sorted ``BENCH_*.json`` paths at the repo root (or ``directory``)."""
-    directory = repo_root() if directory is None else directory
-    return sorted(glob.glob(os.path.join(directory, "BENCH_*.json")))
-
-
 class TrajectoryStore:
-    """Per-metric time series aggregated from ledgers and BENCH reports.
+    """Per-metric series of the ledger's exact model metrics.
 
-    Fault-injected ledger records are excluded by default: their model
-    costs include recovery resends (see ``repro ledger diff``'s warning),
-    so trending them against fault-free history would report phantom
-    regressions.
+    Fault-injected and reconstructed records are excluded by default:
+    their words include recovery resends (see ``repro ledger diff``'s
+    warning), so judging them against fault-free history would report
+    phantom regressions.
     """
 
     def __init__(self, include_faulty: bool = False) -> None:
         self.include_faulty = include_faulty
         self._series: Dict[SeriesKey, Dict[str, List[TrajectoryPoint]]] = {}
-        self.sources: List[str] = []
 
-    # ------------------------------------------------------------------ #
-    # ingestion                                                          #
-    # ------------------------------------------------------------------ #
-
-    def add_point(
-        self, key: SeriesKey, metric: str, point: TrajectoryPoint
-    ) -> None:
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}; tracked: {METRICS}")
-        self._series.setdefault(key, {m: [] for m in METRICS})
-        self._series[key][metric].append(point)
-
-    def add_record(self, record: RunRecord, source: str = "ledger") -> bool:
+    def add_record(self, record: RunRecord) -> bool:
         """Ingest one ledger record; returns whether it was kept."""
-        if record.fault_injected and not self.include_faulty:
-            return False
-        # A reconstructed run's words include its recovery traffic; like
-        # fault-degraded runs, it must not pollute the clean trajectories.
-        if getattr(record, "recovery", None) is not None and not self.include_faulty:
+        faulty = record.fault_injected or record.recovery is not None
+        if faulty and not self.include_faulty:
             return False
         key = SeriesKey(
             algorithm=record.algorithm,
@@ -351,83 +186,32 @@ class TrajectoryStore:
             shape=shape_fingerprint(record.shape, record.P),
         )
         stream = f"{record.kind}:{record.config}" if record.config else record.kind
-        env = _env_key(record.env)
+        series = self._series.setdefault(key, {m: [] for m in METRICS})
         for metric in METRICS:
             value = record_metric_value(record, metric)
-            if value is None:
-                continue
-            self.add_point(key, metric, TrajectoryPoint(
-                timestamp=record.timestamp,
-                value=value,
-                stream=stream,
-                env_key=env,
-                source=source,
-                label=record.label,
-                git_sha=record.git_sha,
-            ))
-        return True
-
-    def add_ledger(self, ledger: Ledger) -> int:
-        """Ingest every record of a ledger; returns how many were kept."""
-        kept = 0
-        for record in ledger.records():
-            kept += bool(self.add_record(record))
-        self.sources.append(ledger.path)
-        return kept
-
-    def add_bench_report(self, report: BenchReport, path: str = "") -> int:
-        """Ingest every entry of one BENCH report (all share its timestamp)."""
-        env = _env_key(report.env)
-        for entry in report.entries:
-            key = SeriesKey(
-                algorithm=entry.algorithm,
-                backend=entry.backend,
-                case=theorem3_case(entry.shape, entry.P),
-                shape=shape_fingerprint(entry.shape, entry.P),
-            )
-            for metric in METRICS:
-                value = record_metric_value(entry, metric)
-                if value is None:
-                    continue
-                self.add_point(key, metric, TrajectoryPoint(
-                    timestamp=report.timestamp,
-                    value=value,
-                    stream=entry.name,
-                    env_key=env,
-                    source="bench",
-                    label=report.label,
-                    git_sha=report.git_sha,
+            if value is not None:
+                series[metric].append(TrajectoryPoint(
+                    timestamp=record.timestamp, value=value, stream=stream,
+                    label=record.label, git_sha=record.git_sha,
                 ))
-        self.sources.append(path or f"BENCH_{report.label}.json")
-        return len(report.entries)
+        return True
 
     @classmethod
     def collect(
-        cls,
-        ledger_path: Optional[str] = None,
-        bench_paths: Iterable[str] = (),
-        include_faulty: bool = False,
+        cls, ledger_path: Optional[str] = None, include_faulty: bool = False
     ) -> "TrajectoryStore":
-        """Build a store from artifact paths.
+        """A store over one ledger file (a missing file is an empty store).
 
         Raises
         ------
         LedgerError
-            On a malformed ledger file (missing files are fine: an empty
-            history is a valid, empty store).
-        BaselineError
-            On a malformed BENCH file.
+            On a malformed ledger file.
         """
         store = cls(include_faulty=include_faulty)
         if ledger_path is not None:
-            store.add_ledger(Ledger(ledger_path))
-        for path in bench_paths:
-            store.add_bench_report(load_bench_report(path), path=path)
+            for record in Ledger(ledger_path).records():
+                store.add_record(record)
         return store
-
-    # ------------------------------------------------------------------ #
-    # access                                                             #
-    # ------------------------------------------------------------------ #
 
     def keys(self) -> List[SeriesKey]:
         return sorted(self._series)
@@ -440,20 +224,12 @@ class TrajectoryStore:
         return sorted(points, key=lambda p: p.timestamp)
 
     def streams(
-        self, key: SeriesKey, metric: str, split_env: bool = False
-    ) -> Dict[Tuple[str, str], List[TrajectoryPoint]]:
-        """Samples grouped by stream (and env fingerprint when asked).
-
-        ``split_env=True`` is the wall-clock mode: timings from different
-        environment fingerprints land in different groups, so a machine
-        change restarts the trend instead of faking a regression.  The
-        group key is ``(stream, env_key)`` either way (env collapses to
-        ``""`` when not splitting).
-        """
-        out: Dict[Tuple[str, str], List[TrajectoryPoint]] = {}
+        self, key: SeriesKey, metric: str
+    ) -> Dict[str, List[TrajectoryPoint]]:
+        """Time-ordered samples of one metric under one key, per stream."""
+        out: Dict[str, List[TrajectoryPoint]] = {}
         for point in self.series(key, metric):
-            group = (point.stream, point.env_key if split_env else "")
-            out.setdefault(group, []).append(point)
+            out.setdefault(point.stream, []).append(point)
         return out
 
     def __len__(self) -> int:
@@ -464,203 +240,286 @@ class TrajectoryStore:
         )
 
 
-def rolling_median(values: Sequence[float], window: int) -> List[float]:
-    """Trailing-window medians: element i covers ``values[max(0,i-w+1):i+1]``."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    return [
-        statistics.median(values[max(0, i - window + 1):i + 1])
-        for i in range(len(values))
-    ]
+# ---------------------------------------------------------------------- #
+# the harness side                                                       #
+# ---------------------------------------------------------------------- #
 
+@dataclasses.dataclass(frozen=True)
+class HarnessRun:
+    """One workload's run of ``benchmarks/e2e/run.py`` as committed.
 
-def detect_trend(
-    values: Sequence[float],
-    tolerance: float,
-    floor: float = 0.0,
-    window: int = DEFAULT_WINDOW,
-) -> Tuple[str, Optional[float], Optional[float], float, Optional[int]]:
-    """Classify one time-ordered sample vector.
-
-    Returns ``(verdict, baseline, recent, change, changepoint)`` where
-    ``baseline`` is the median of everything before the trailing window,
-    ``recent`` the median of the trailing window, ``change`` the signed
-    relative drift ``(recent - baseline) / baseline``, and
-    ``changepoint`` the index where the rolling median first crossed the
-    tolerance in the verdict's direction (``None`` when flat).
-
-    With fewer than ``window + 1`` samples there is no history to trend
-    against and the verdict is :data:`FLAT` with ``baseline=None``.
-    Medians on both sides make the detector robust to single-sample
-    noise: one straggler run neither trips nor masks a verdict.
+    ``metrics`` maps each metric name to its ``value`` and ``unit`` (from
+    the result line) merged with its ``better`` and, for end-to-end
+    metrics, its relative ``bound`` (from the describe line).
     """
-    values = [float(v) for v in values]
-    n = len(values)
-    window = max(1, window)
-    if n < window + 1:
-        return (FLAT, None, None, 0.0, None)
-    baseline = statistics.median(values[:-window])
-    recent = statistics.median(values[-window:])
-    delta = recent - baseline
-    scale = abs(baseline) if baseline != 0 else 1.0
-    change = delta / scale
-    verdict = FLAT
-    if change > tolerance and delta > floor:
-        verdict = REGRESSED
-    elif -change > tolerance and -delta > floor:
-        verdict = IMPROVED
-    if verdict == FLAT:
-        return (FLAT, baseline, recent, change, None)
-    medians = rolling_median(values, window)
-    changepoint = None
-    for i in range(1, n):
-        drift = (medians[i] - baseline) / scale
-        if (verdict == REGRESSED and drift > tolerance) or (
-            verdict == IMPROVED and -drift > tolerance
-        ):
-            changepoint = i
-            break
-    return (verdict, baseline, recent, change, changepoint)
 
+    source: str
+    pr: int
+    workload: str
+    seed: int
+    trace: int
+    env: Dict[str, str]
+    correct: bool
+    attempted: int
+    failed: int
+    pinned: str
+    metrics: Dict[str, dict]
+
+    @property
+    def env_key(self) -> str:
+        return "|".join(f"{k}={self.env[k]}" for k in sorted(self.env))
+
+
+def discover_bench_files(directory: Optional[str] = None) -> List[str]:
+    """``BENCH_pr<N>.jsonl`` paths at the repo root (or ``directory``), by N."""
+    directory = repo_root() if directory is None else directory
+    paths = glob.glob(os.path.join(directory, "BENCH_pr*.jsonl"))
+    return sorted(
+        (p for p in paths if _BENCH_NAME.search(p)),
+        key=lambda p: int(_BENCH_NAME.search(p).group(1)),
+    )
+
+
+def _harness_run(source: str, pr: int, describe: dict, result: dict) -> HarnessRun:
+    try:
+        metrics = {}
+        for name, spec in describe["metrics"].items():
+            better = spec["better"]
+            if better not in ("lower", "higher"):
+                raise ValueError(f"metric {name!r} has better={better!r}")
+            metrics[name] = {**spec, **result["metrics"][name]}
+            metrics[name]["value"] = float(metrics[name]["value"])
+        return HarnessRun(
+            source=source, pr=pr, workload=str(describe["workload"]),
+            seed=int(describe["seed"]), trace=int(describe["trace"]),
+            env=dict(describe["env"]), correct=result["correct"] is True,
+            attempted=int(result["attempted"]), failed=int(result["failed"]),
+            pinned=str(describe.get("pinned", "")), metrics=metrics,
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise BaselineError(
+            f"{source}: malformed {describe.get('workload')!r} run: {exc!r}"
+        ) from exc
+
+
+def load_bench_file(path: str) -> List[HarnessRun]:
+    """The harness runs recorded in one ``BENCH_pr<N>.jsonl`` file.
+
+    Raises
+    ------
+    BaselineError
+        If the file is missing or unreadable, is not named
+        ``BENCH_pr<N>.jsonl``, holds a line that is not a JSON object, or
+        holds a describe line with no result line after it.
+    """
+    source = os.path.basename(path)
+    match = _BENCH_NAME.search(source)
+    if match is None:
+        raise BaselineError(f"{path} is not named BENCH_pr<N>.jsonl")
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise BaselineError(f"cannot read BENCH file {path}: {exc}") from exc
+
+    def orphan(number: int, describe: dict) -> BaselineError:
+        return BaselineError(
+            f"{source}:{number}: describe line for workload "
+            f"{describe['workload']!r} has no result line after it")
+
+    runs: List[HarnessRun] = []
+    pending: Optional[Tuple[int, dict]] = None
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BaselineError(f"{source}:{number}: not JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise BaselineError(f"{source}:{number}: not a JSON object")
+        if "workload" in obj:
+            if pending is not None:
+                raise orphan(*pending)
+            pending = (number, obj)
+        elif "correct" not in obj:
+            raise BaselineError(
+                f"{source}:{number}: neither a describe nor a result line")
+        elif pending is not None:
+            runs.append(_harness_run(source, int(match.group(1)),
+                                     pending[1], obj))
+            pending = None
+        # else: the all-workload summary line, which repeats the results
+    if pending is not None:
+        raise orphan(*pending)
+    return runs
+
+
+# ---------------------------------------------------------------------- #
+# verdicts                                                               #
+# ---------------------------------------------------------------------- #
 
 @dataclasses.dataclass(frozen=True)
 class TrendVerdict:
-    """One detector decision: a (series, metric, stream) triple classified."""
+    """The newest sample of one (series, metric, stream) judged.
 
-    key: SeriesKey
+    ``samples`` lists the stream oldest first as ``(name, value)`` pairs;
+    the verdict compares the last two.
+    """
+
+    source: str  # "ledger" | "bench"
+    series: str
     metric: str
     stream: str
-    env_key: str
     verdict: str
-    points: int
-    baseline: Optional[float] = None
-    recent: Optional[float] = None
+    samples: Tuple[Tuple[str, float], ...]
     change: float = 0.0
-    changepoint: Optional[float] = None  # timestamp of the detected shift
-    detail: str = ""
+    bound: float = 0.0
 
-    def render(self) -> str:
+    @property
+    def gating(self) -> bool:
+        """Only ledger verdicts fail ``--check``; harness ones are reported."""
+        return self.source == "ledger"
+
+    def render(self, samples: bool = False) -> str:
         head = (f"[{self.verdict.upper():9s}] {self.metric:<10s} "
-                f"{self.key.label()} [{self.stream}]")
-        if self.baseline is None:
-            return f"{head}: {self.detail or 'insufficient history'}"
-        body = (f"median {self.baseline:g} -> {self.recent:g} "
-                f"({self.change:+.1%}, n={self.points})")
-        return f"{head}: {body}" + (f"; {self.detail}" if self.detail else "")
+                f"{self.series} [{self.stream}]")
+        if len(self.samples) < 2:
+            body = "one sample, nothing to compare"
+        else:
+            (a, prev), (b, last) = self.samples[-2:]
+            body = (f"{a} {prev:g} -> {b} {last:g} ({self.change:+.1%}"
+                    + ("" if self.gating else
+                       f", bound {self.bound:.0%}, not gated") + ")")
+        lines = [f"{head}: {body}"]
+        if samples:
+            lines.extend(f"    {name:<12s} {value:g}"
+                         for name, value in self.samples)
+        return "\n".join(lines)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["key"] = self.key.to_dict()
+        out["samples"] = [list(s) for s in self.samples]
         return out
 
 
 @dataclasses.dataclass
 class TrendReport:
-    """Every verdict from one :func:`analyze` pass."""
+    """Every verdict from one :func:`analyze` pass, plus failed harness runs."""
 
     verdicts: List[TrendVerdict]
-    window: int = DEFAULT_WINDOW
+    failures: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def regressions(self) -> List[TrendVerdict]:
-        return [v for v in self.verdicts if v.verdict == REGRESSED]
-
-    @property
-    def improvements(self) -> List[TrendVerdict]:
-        return [v for v in self.verdicts if v.verdict == IMPROVED]
+        """Gating regressions: the ledger's exact model metrics."""
+        return [v for v in self.verdicts
+                if v.gating and v.verdict == REGRESSED]
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.failures
 
-    def counts(self) -> Dict[str, int]:
+    def counts(self, source: str) -> Dict[str, int]:
         out = {IMPROVED: 0, FLAT: 0, REGRESSED: 0}
         for v in self.verdicts:
-            out[v.verdict] += 1
+            if v.source == source:
+                out[v.verdict] += 1
         return out
 
     def render(self, verbose: bool = False) -> str:
-        counts = self.counts()
-        lines = [
-            f"trend: {len(self.verdicts)} trajectories "
-            f"(window {self.window}): "
-            f"{counts[REGRESSED]} regressed, {counts[IMPROVED]} improved, "
-            f"{counts[FLAT]} flat"
-        ]
-        shown = [
-            v for v in self.verdicts
-            if verbose or v.verdict != FLAT
-        ]
-        lines.extend(v.render() for v in shown)
+        lines = []
+        for source, what in (("ledger", "ledger trajectories"),
+                             ("bench", "harness metrics (reported, not gated)")):
+            counts = self.counts(source)
+            lines.append(
+                f"trend: {sum(counts.values())} {what}: "
+                f"{counts[REGRESSED]} regressed, {counts[IMPROVED]} improved, "
+                f"{counts[FLAT]} flat")
+        shown = [v for v in self.verdicts if verbose or v.verdict != FLAT]
+        lines.extend(v.render(samples=verbose) for v in shown)
         if not shown and self.verdicts:
             lines.append("(every trajectory is flat; --all lists them)")
-        lines.append("TREND " + ("OK" if self.ok else "REGRESSED"))
+        lines.extend(f"FAILED RUN {f}" for f in self.failures)
+        lines.append("TREND " + ("OK" if self.ok else "FAILED"))
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
         return {
-            "window": self.window,
-            "counts": self.counts(),
             "ok": self.ok,
+            "counts": {s: self.counts(s) for s in ("ledger", "bench")},
+            "failures": list(self.failures),
             "verdicts": [v.to_dict() for v in self.verdicts],
         }
 
 
-def analyze(
-    store: TrajectoryStore,
-    metrics: Sequence[str] = METRICS,
-    window: int = DEFAULT_WINDOW,
-    tolerances: Optional[Dict[str, float]] = None,
-    algorithm: Optional[str] = None,
-    case: Optional[str] = None,
-) -> TrendReport:
-    """Run :func:`detect_trend` over every (series, metric, stream) triple.
-
-    Wall-clock streams are additionally split per environment
-    fingerprint; model-metric streams trend across environments (they
-    are environment-independent by construction).  ``algorithm`` and
-    ``case`` filter the serieses considered.
-    """
-    for metric in metrics:
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}; tracked: {METRICS}")
-    tolerances = {**TREND_TOLERANCES, **(tolerances or {})}
-    verdicts: List[TrendVerdict] = []
+def _ledger_verdicts(store, metrics, algorithm, case) -> List[TrendVerdict]:
+    out = []
     for key in store.keys():
         if algorithm is not None and key.algorithm != algorithm:
             continue
         if case is not None and key.case != case:
             continue
-        for metric in metrics:
-            grouped = store.streams(
-                key, metric, split_env=(metric == "wall_clock")
-            )
-            for (stream, env), points in sorted(grouped.items()):
-                values = [p.value for p in points]
-                verdict, baseline, recent, change, cp_index = detect_trend(
-                    values,
-                    tolerance=tolerances[metric],
-                    floor=TREND_FLOORS[metric],
-                    window=window,
-                )
-                verdicts.append(TrendVerdict(
-                    key=key,
-                    metric=metric,
-                    stream=stream,
-                    env_key=env,
-                    verdict=verdict,
-                    points=len(values),
-                    baseline=baseline,
-                    recent=recent,
-                    change=change,
-                    changepoint=(
-                        None if cp_index is None
-                        else points[cp_index].timestamp
-                    ),
-                    detail=(
-                        f"insufficient history ({len(values)} sample(s), "
-                        f"window {window})"
-                        if baseline is None else ""
-                    ),
+        for metric in METRICS:
+            if metric not in metrics:
+                continue
+            for stream, points in sorted(store.streams(key, metric).items()):
+                verdict, change = FLAT, 0.0
+                if len(points) > 1:
+                    verdict, change = judge(points[-2].value, points[-1].value)
+                out.append(TrendVerdict(
+                    source="ledger", series=key.label(), metric=metric,
+                    stream=stream, verdict=verdict, change=change,
+                    samples=tuple((p.name(), p.value) for p in points),
                 ))
-    return TrendReport(verdicts=verdicts, window=window)
+    return out
+
+
+def _bench_verdicts(runs, metrics) -> List[TrendVerdict]:
+    grouped: Dict[Tuple[str, int, str], Dict[str, list]] = {}
+    for run in sorted(runs, key=lambda r: r.pr):
+        by_metric = grouped.setdefault((run.workload, run.seed, run.env_key), {})
+        for name, spec in run.metrics.items():
+            if "bound" in spec and (metrics is None or name in metrics):
+                by_metric.setdefault(name, []).append((f"pr{run.pr}", spec))
+    out = []
+    for (workload, seed, env_key), by_metric in sorted(grouped.items()):
+        for name, points in by_metric.items():
+            spec = points[-1][1]
+            verdict, change = FLAT, 0.0
+            if len(points) > 1:
+                verdict, change = judge(points[-2][1]["value"], spec["value"],
+                                        spec["better"], float(spec["bound"]))
+            out.append(TrendVerdict(
+                source="bench", series=workload, metric=name,
+                stream=f"seed {seed}, {env_key}", verdict=verdict,
+                change=change, bound=float(spec["bound"]),
+                samples=tuple((pr, s["value"]) for pr, s in points),
+            ))
+    return out
+
+
+def analyze(
+    store: TrajectoryStore,
+    runs: Iterable[HarnessRun] = (),
+    metrics: Optional[Sequence[str]] = None,
+    algorithm: Optional[str] = None,
+    case: Optional[str] = None,
+) -> TrendReport:
+    """Judge every ledger stream and every bounded harness metric.
+
+    ``metrics`` limits both kinds of verdict to the named metrics;
+    ``algorithm`` and ``case`` filter the ledger series only.  Every
+    harness run recorded with ``correct: false`` becomes a failure.
+    """
+    runs = list(runs)
+    report = TrendReport(
+        verdicts=_ledger_verdicts(store, metrics or METRICS, algorithm, case)
+        + _bench_verdicts(runs, metrics),
+    )
+    report.failures = [
+        f"{r.source}: {r.workload} seed {r.seed} trace {r.trace}: "
+        f"{r.failed}/{r.attempted} ops failed (pinned digests: {r.pinned})"
+        for r in runs if not r.correct
+    ]
+    return report

@@ -1,16 +1,16 @@
 """Self-contained HTML dashboard over the repo's observability artifacts.
 
 ``repro dashboard`` folds the same artifacts the CLI gates read — the
-experiment ledger, every ``BENCH_*.json``, a driver-telemetry JSONL and
-a collapsed-stack profile — into **one static HTML file**: data inline
-as JSON, rendering in vanilla JS + SVG, zero external requests, so the
-file opens from ``file://`` (or a CI artifact download) with no server
-and no network.  Panels:
+experiment ledger, every ``BENCH_pr<N>.jsonl`` end-to-end harness run, a
+driver-telemetry JSONL and a collapsed-stack profile — into **one static
+HTML file**: data inline as JSON, rendering in vanilla JS + SVG, zero
+external requests, so the file opens from ``file://`` (or a CI artifact
+download) with no server and no network.  Panels:
 
 * stat tiles + trend verdicts — the :mod:`repro.obs.analytics` report,
   so the dashboard and ``repro trend --check`` can never disagree;
-* bench-trajectory sparklines per (algorithm, backend, case, shape)
-  series, from :class:`~repro.obs.analytics.TrajectoryStore`;
+* one sparkline per workload and end-to-end harness metric across PRs,
+  and the per-layer self times of each workload's latest traced run;
 * attainment heatmap per Theorem-3 case (latest attainment of every
   configuration, sequential ramp — darker is further from the bound);
 * per-configuration ``words_sent`` skew bars (``max/mean`` ratio with
@@ -35,11 +35,10 @@ import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .analytics import (
-    DEFAULT_WINDOW,
-    METRICS,
+    HarnessRun,
     TrajectoryStore,
     analyze,
-    discover_bench_files,
+    load_bench_file,
     shape_fingerprint,
     theorem3_case,
 )
@@ -54,7 +53,7 @@ __all__ = [
     "DEFAULT_DASHBOARD",
 ]
 
-#: Default output filename (repo root, next to the BENCH files).
+#: Default output filename, in the directory the artifacts are read from.
 DEFAULT_DASHBOARD = "dashboard.html"
 
 
@@ -128,30 +127,46 @@ def hotspot_rows(
 # payload assembly                                                       #
 # ---------------------------------------------------------------------- #
 
-def _series_payload(store: TrajectoryStore) -> List[dict]:
-    """Every (series, metric, stream) trajectory as plain JSON."""
-    out: List[dict] = []
-    for key in store.keys():
-        for metric in METRICS:
-            for (stream, _env), points in sorted(
-                store.streams(key, metric).items()
-            ):
-                out.append({
-                    "key": key.to_dict(),
-                    "metric": metric,
-                    "stream": stream,
-                    "points": [
-                        {
-                            "t": p.timestamp,
-                            "v": p.value,
-                            "label": p.label,
-                            "source": p.source,
-                            "env": p.env_key,
-                        }
-                        for p in points
-                    ],
-                })
-    return out
+def _bench_payload(runs: List[HarnessRun]) -> dict:
+    """Harness series and per-layer self times, as plain JSON.
+
+    ``series`` has one entry per (workload, end-to-end metric, env
+    fingerprint) with a point per PR; ``layers`` has each workload's
+    latest traced run split by layer, with each layer's share of the
+    run's total self time.
+    """
+    series: Dict[tuple, dict] = {}
+    layers: Dict[str, dict] = {}
+    for run in sorted(runs, key=lambda r: r.pr):
+        for name, spec in run.metrics.items():
+            if "bound" not in spec:
+                continue
+            entry = series.setdefault((run.workload, name, run.env_key), {
+                "workload": run.workload, "metric": name,
+                "unit": spec["unit"], "better": spec["better"],
+                "bound": spec["bound"], "env": run.env_key, "points": [],
+            })
+            entry["points"].append({"pr": run.pr, "v": spec["value"]})
+        self_s = {
+            name[:-len(".self_s")]: spec["value"]
+            for name, spec in run.metrics.items() if name.endswith(".self_s")
+        }
+        if not self_s:
+            continue
+        total = sum(self_s.values()) or 1.0
+        layers[run.workload] = {
+            "workload": run.workload, "pr": run.pr, "env": run.env_key,
+            "rows": [
+                {
+                    "layer": layer,
+                    "calls": run.metrics.get(f"{layer}.calls", {}).get("value"),
+                    "self_s": value,
+                    "share": value / total,
+                }
+                for layer, value in self_s.items()
+            ],
+        }
+    return {"series": list(series.values()), "layers": list(layers.values())}
 
 
 def _attainment_payload(store: TrajectoryStore) -> dict:
@@ -231,14 +246,13 @@ def collect_payload(
     bench_paths: Iterable[str] = (),
     telemetry_path: Optional[str] = None,
     profile_path: Optional[str] = None,
-    window: int = DEFAULT_WINDOW,
     include_faulty: bool = False,
     top: int = 15,
 ) -> dict:
     """Aggregate every artifact into the dashboard's embedded JSON.
 
-    Missing *optional* paths (``None``, or a ledger file that does not
-    exist yet) produce explicit ``null`` sections; a path that exists
+    Missing *optional* paths (``None``, or a file that does not exist
+    yet) produce explicit empty or ``null`` sections; a path that exists
     but is malformed raises, same as the CLI gates.
     """
     sources: List[str] = []
@@ -249,12 +263,9 @@ def collect_payload(
     bench_paths = [p for p in bench_paths if os.path.exists(p)]
     sources.extend(bench_paths)
 
-    store = TrajectoryStore.collect(
-        ledger_path=ledger_path,
-        bench_paths=bench_paths,
-        include_faulty=include_faulty,
-    )
-    report = analyze(store, window=window)
+    store = TrajectoryStore.collect(ledger_path, include_faulty=include_faulty)
+    runs = [run for path in bench_paths for run in load_bench_file(path)]
+    report = analyze(store, runs)
 
     telemetry = None
     if telemetry_path is not None and os.path.exists(telemetry_path):
@@ -277,12 +288,12 @@ def collect_payload(
     return {
         "meta": {
             "title": "repro observability dashboard",
-            "window": window,
             "sources": sources,
             "points": len(store),
+            "runs": len(runs),
         },
         "trend": report.to_dict(),
-        "series": _series_payload(store),
+        "bench": _bench_payload(runs),
         "attainment": _attainment_payload(store),
         "skew": _skew_payload(store),
         "recovery": _recovery_payload(ledger_path),
@@ -417,13 +428,6 @@ _TEMPLATE = """<!DOCTYPE html>
   th, td { padding: 4px 10px 4px 0; border-bottom: 1px solid var(--grid); }
   td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
   .hidden { display: none; }
-  .chip {
-    display: inline-block; border-radius: 10px; padding: 0 8px;
-    font-size: 12px; font-weight: 600; border: 1px solid var(--ring);
-  }
-  .chip.regressed { color: var(--critical); }
-  .chip.improved { color: var(--good-text); }
-  .chip.flat { color: var(--ink-2); }
   .spark-grid { display: grid; grid-template-columns: repeat(auto-fill, minmax(240px, 1fr)); gap: 10px; }
   .spark {
     border: 1px solid var(--grid); border-radius: 6px; padding: 8px 10px;
@@ -581,15 +585,15 @@ function emptyNote(host, text) {
 
 // --- stat tiles -------------------------------------------------------
 function tiles() {
-  const meta = DATA.meta, counts = DATA.trend.counts;
+  const meta = DATA.meta, counts = DATA.trend.counts.ledger;
   const sub = document.getElementById("subtitle");
   sub.textContent = "sources: " + (meta.sources.join(", ") || "none") +
-    " - " + meta.points + " samples, trend window " + meta.window;
+    " - " + meta.points + " ledger samples, " + meta.runs + " harness runs";
   const host = document.getElementById("tiles");
   const items = [
-    [String(meta.points), "metric samples"],
-    [String(DATA.series.length), "trajectories"],
-    [(DATA.trend.ok ? "\\u2713 OK" : "\\u2717 REGRESSED"), "trend verdict",
+    [String(meta.points), "ledger samples"],
+    [String(meta.runs), "harness runs"],
+    [(DATA.trend.ok ? "\\u2713 OK" : "\\u2717 FAILED"), "trend verdict",
      DATA.trend.ok ? "var(--good-text)" : "var(--critical)"],
     [String(counts.regressed), "regressed"],
     [String(counts.improved), "improved"],
@@ -615,53 +619,33 @@ function trendPanel() {
   const c = card("Trend verdicts",
     notable.length ? notable.length + " non-flat of " + verdicts.length
                    : "all " + verdicts.length + " trajectories flat");
-  const shown = notable.length ? notable : [];
-  if (!shown.length) {
+  if (!notable.length) {
     emptyNote(c.chart,
       "\\u2713 no regressions or improvements detected; " +
       "the table lists every trajectory.");
   } else {
-    const t = document.createElement("table");
-    const hr = document.createElement("tr");
-    for (const hd of ["verdict", "metric", "series", "stream", "change"]) {
-      const th = document.createElement("th");
-      th.textContent = hd;
-      if (hd === "change") th.className = "num";
-      hr.append(th);
-    }
-    t.append(hr);
-    for (const v of shown) {
-      const r = document.createElement("tr");
-      const chip = document.createElement("span");
-      chip.className = "chip " + v.verdict;
-      chip.textContent = (v.verdict === "regressed" ? "\\u2717 " : "\\u2713 ")
-        + v.verdict;
-      const cells = [chip, v.metric,
-        v.key.algorithm + "/" + v.key.backend + " " + v.key.case + " " +
-        v.key.shape,
-        v.stream,
-        (v.change >= 0 ? "+" : "") + (100 * v.change).toFixed(1) + "%"];
-      cells.forEach((cell, i) => {
-        const td = document.createElement("td");
-        if (i === 4) td.className = "num";
-        if (cell instanceof Node) td.append(cell);
-        else td.textContent = cell;
-        r.append(td);
-      });
-      t.append(r);
-    }
-    c.chart.append(t);
+    buildTable(c.chart, ["verdict", "metric", "series", "stream", "change"],
+      notable.map((v) => [
+        (v.verdict === "regressed" ? "\\u2717 " : "\\u2713 ") + v.verdict +
+          (v.source === "ledger" ? "" : " (not gated)"),
+        v.metric, v.series, v.stream,
+        (v.change >= 0 ? "+" : "") + (100 * v.change).toFixed(1) + "%"]),
+      [4]);
   }
+  for (const f of DATA.trend.failures)
+    emptyNote(c.chart, "\\u2717 failed run: " + f);
+  const prev = (v) => v.samples.length > 1
+    ? fmt(v.samples[v.samples.length - 2][1]) : "-";
   buildTable(c.table,
-    ["verdict", "metric", "series", "stream", "n", "baseline", "recent"],
-    verdicts.map((v) => [v.verdict, v.metric,
-      v.key.algorithm + "/" + v.key.backend + " " + v.key.case + " " +
-      v.key.shape, v.stream, String(v.points),
-      fmt(v.baseline), fmt(v.recent)]),
-    [4, 5, 6]);
+    ["verdict", "source", "metric", "series", "stream", "n", "previous",
+     "latest"],
+    verdicts.map((v) => [v.verdict, v.source, v.metric, v.series, v.stream,
+      String(v.samples.length), prev(v),
+      fmt(v.samples[v.samples.length - 1][1])]),
+    [5, 6, 7]);
 }
 
-// --- sparklines -------------------------------------------------------
+// --- harness sparklines: one per workload x end-to-end metric ---------
 function sparkSvg(points, w, h) {
   const vs = points.map((p) => p.v);
   const lo = Math.min(...vs), hi = Math.max(...vs);
@@ -684,56 +668,62 @@ function sparkSvg(points, w, h) {
     '" r="3" fill="' + css("--series-1") + '"/></svg>';
   return holder.firstChild;
 }
-function sparkPanel() {
-  const byMetric = {};
-  for (const s of DATA.series) {
-    if (!s.points.length) continue;
-    (byMetric[s.metric] = byMetric[s.metric] || []).push(s);
+function benchPanel() {
+  const series = DATA.bench.series;
+  const c = card("End-to-end harness metrics across PRs",
+    series.length ? "one point per BENCH_pr<N>.jsonl" : "");
+  if (!series.length) {
+    emptyNote(c.chart, "no BENCH_pr<N>.jsonl collected");
+    emptyNote(c.table, "no BENCH_pr<N>.jsonl collected");
+    return;
   }
-  for (const metric of ["wall_clock", "words", "attainment", "skew_ratio"]) {
-    const all = (byMetric[metric] || [])
-      .slice()
-      .sort((a, b) => b.points.length - a.points.length ||
-        (a.key.shape < b.key.shape ? -1 : 1));
-    if (!all.length) continue;
-    const cap = 12;
-    const shown = all.slice(0, cap);
-    const c = card("Trajectories: " + metric,
-      all.length > cap
-        ? "showing " + cap + " of " + all.length +
-          " (most history first; all in table)"
-        : all.length + " trajectories");
-    const grid = document.createElement("div");
-    grid.className = "spark-grid";
-    for (const s of shown) {
-      const box = document.createElement("div");
-      box.className = "spark";
-      const name = document.createElement("div");
-      name.className = "name";
-      name.textContent = s.key.algorithm + "/" + s.key.backend + " " +
-        s.key.case + " " + s.key.shape + " [" + s.stream + "]";
-      const val = document.createElement("div");
-      val.className = "val";
-      val.textContent = fmt(s.points[s.points.length - 1].v);
-      box.append(name, val, sparkSvg(s.points, 220, 36));
-      hover(box, () => [
-        [metric, fmt(s.points[s.points.length - 1].v)],
-        ["samples", String(s.points.length)],
-        ["", s.key.algorithm + "/" + s.key.backend + " " + s.key.case],
-        ["", s.stream],
-      ]);
-      grid.append(box);
-    }
-    c.chart.append(grid);
-    buildTable(c.table,
-      ["series", "stream", "n", "first", "latest"],
-      all.map((s) => [
-        s.key.algorithm + "/" + s.key.backend + " " + s.key.case + " " +
-        s.key.shape,
-        s.stream, String(s.points.length),
-        fmt(s.points[0].v), fmt(s.points[s.points.length - 1].v)]),
-      [2, 3, 4]);
+  const grid = document.createElement("div");
+  grid.className = "spark-grid";
+  for (const s of series) {
+    const last = s.points[s.points.length - 1];
+    const box = document.createElement("div");
+    box.className = "spark";
+    const name = document.createElement("div");
+    name.className = "name";
+    name.textContent = s.workload + " " + s.metric;
+    const val = document.createElement("div");
+    val.className = "val";
+    val.textContent = fmt(last.v) + " " + s.unit;
+    box.append(name, val, sparkSvg(s.points, 220, 36));
+    hover(box, () => [
+      [fmt(last.v) + " " + s.unit, s.metric + " at pr" + last.pr],
+      ["PRs", s.points.map((p) => "pr" + p.pr).join(", ")],
+      ["", s.better + " is better, bound " + (100 * s.bound).toFixed(0) + "%"],
+      ["", s.env],
+    ]);
+    grid.append(box);
   }
+  c.chart.append(grid);
+  buildTable(c.table,
+    ["workload", "metric", "unit", "n", "first", "latest"],
+    series.map((s) => [s.workload, s.metric, s.unit,
+      String(s.points.length), fmt(s.points[0].v),
+      fmt(s.points[s.points.length - 1].v)]),
+    [3, 4, 5]);
+}
+function layerPanel() {
+  const runs = DATA.bench.layers;
+  const c = card("Per-layer self time (latest traced run per workload)",
+    runs.length ? "share = layer self time / the run's total self time" : "");
+  if (!runs.length) {
+    emptyNote(c.chart, "no traced harness run collected");
+    emptyNote(c.table, "no traced harness run collected");
+    return;
+  }
+  const rows = (keep) => runs.flatMap((run) => run.rows
+    .filter(keep)
+    .slice().sort((a, b) => b.self_s - a.self_s)
+    .map((r) => [run.workload, "pr" + run.pr, r.layer,
+      r.calls == null ? "-" : fmt(r.calls), fmt(r.self_s),
+      (100 * r.share).toFixed(1) + "%"]));
+  const headers = ["workload", "PR", "layer", "calls", "self (s)", "share"];
+  buildTable(c.chart, headers, rows((r) => r.share >= 0.01), [3, 4, 5]);
+  buildTable(c.table, headers, rows(() => true), [3, 4, 5]);
 }
 
 // --- attainment heatmap ----------------------------------------------
@@ -1050,7 +1040,8 @@ function hotspotPanel() {
 
 tiles();
 trendPanel();
-sparkPanel();
+benchPanel();
+layerPanel();
 heatPanel();
 skewPanel();
 recoveryPanel();

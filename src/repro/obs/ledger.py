@@ -104,9 +104,10 @@ class RunRecord:
     kind:
         Record provenance: ``"sweep"`` (from :func:`repro.analysis.sweep`),
         ``"plan"`` (``repro plan``), ``"chaos"`` (``repro chaos``),
-        ``"pytest"`` (benchmark-test timings), ``"run"`` (ad hoc).  Not
-        validated, so older ledgers still read: their ``"bench"`` records
-        came from the deleted ``repro bench`` command's Algorithm 1 probes.
+        ``"run"`` (ad hoc).  Not validated, so older ledgers still read:
+        their ``"bench"`` records came from the deleted ``repro bench``
+        command's Algorithm 1 probes, their ``"pytest"`` ones from a
+        deleted benchmark-test timing hook.
     algorithm, config, shape, P:
         What ran and on which (shape, processor-count) point.
     words, rounds, flops:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cProfile
 import os
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Tuple, TypeVar
 
 __all__ = [
     "FuncKey",

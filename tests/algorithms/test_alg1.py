@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms import ProcessorGrid, alg1_cost_terms, run_alg1, select_grid
+from repro.algorithms import ProcessorGrid, run_alg1, select_grid
 from repro.core import ProblemShape, communication_lower_bound
 from repro.machine import CostModel, Machine
 from repro.workloads import integer_pair
@@ -142,7 +142,6 @@ class TestTightness:
 
 class TestMemoryFootprint:
     def test_peak_includes_gathered_blocks(self, rng):
-        shape = ProblemShape(24, 24, 24)
         A, B = rng.random((24, 24)), rng.random((24, 24))
         res = run_alg1(A, B, ProcessorGrid(2, 2, 2))
         predicted = res.predicted.accessed  # A_block + B_block + D words

@@ -127,14 +127,23 @@ class TestC25D:
         with pytest.raises(GridError):
             run_25d(rng.random((8, 8)), rng.random((8, 8)), q=4, c=3)
 
-    def test_replication_reduces_shift_cost(self, rng):
-        """More layers -> fewer Cannon shifts per layer."""
+    @pytest.mark.parametrize("c, rounds, words", [
+        (1, 8, 128.0), (2, 7, 112.0), (4, 8, 128.0),
+    ])
+    def test_replication_divides_cannon_stages_per_layer(
+        self, rng, c, rounds, words
+    ):
+        """c layers run q/c Cannon stages each, and so 2(q/c - 1) shift
+        rounds, but pay c-way replication and reduction rounds for it: at
+        16x16 with q=4 the measured total falls at c=2 and is back at
+        c=1's count at c=4."""
         A, B = rng.random((16, 16)), rng.random((16, 16))
-        res_c1 = run_25d(A, B, q=4, c=1)
-        res_c4 = run_25d(A, B, q=4, c=4)
-        shifts_c1 = sum(1 for e in res_c1.machine.spans.events() if e.kind == "shift")
-        # Layered run executes fewer shift stages (q/c - 1 per layer).
-        assert res_c4.cost.rounds < res_c1.cost.rounds or shifts_c1 >= 0
+        res = run_25d(A, B, q=4, c=c)
+        stages = [e.name for e in res.machine.spans.events()
+                  if e.kind == "compute"]
+        assert stages == [f"{4 // c} Cannon stages per layer"]
+        assert (res.cost.rounds, res.cost.words) == (rounds, words)
+        assert np.allclose(res.C, A @ B)
 
     def test_c1_matches_cannon_cost(self, rng):
         A, B = rng.random((8, 8)), rng.random((8, 8))

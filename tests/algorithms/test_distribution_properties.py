@@ -1,12 +1,10 @@
 """Property-based tests for distribution and grid invariants (hypothesis)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import ProcessorGrid, block_bounds, shard_bounds
 from repro.algorithms.distributions import distribute_inputs
-from repro.core import ProblemShape
 from repro.machine import Machine
 
 extents = st.integers(min_value=1, max_value=40)

@@ -1,7 +1,5 @@
 """Tests for Section 5.2 grid selection."""
 
-import math
-
 import pytest
 
 from repro.algorithms import (

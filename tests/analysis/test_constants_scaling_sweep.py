@@ -1,6 +1,5 @@
 """Tests for empirical constants, strong scaling and the sweep driver."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (

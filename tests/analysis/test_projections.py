@@ -1,7 +1,5 @@
 """Tests for the projection/footprint analysis."""
 
-import pytest
-
 from repro.analysis import (
     assignment_projection_sizes,
     grid_assignment_brick,

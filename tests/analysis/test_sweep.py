@@ -15,7 +15,7 @@ import pytest
 sweep_module = importlib.import_module("repro.analysis.sweep")
 
 from repro.algorithms.registry import REGISTRY, applicable_algorithms
-from repro.analysis.sweep import SweepRecord, sweep
+from repro.analysis.sweep import sweep
 from repro.core import ProblemShape, communication_lower_bound
 from repro.exceptions import (
     BoundViolationError,

@@ -24,7 +24,7 @@ from repro.analysis.survive import run_survivable, run_survive
 from repro.core.cases import Regime
 from repro.core.shapes import ProblemShape
 from repro.exceptions import RankFailedError
-from repro.machine.faults import FaultModel, RecoveryConfig, inject
+from repro.machine.faults import FaultModel, inject
 
 QUADCHOTOMY = {"recovered", "reconstructed", "clean", "detected", "rank-failed"}
 

@@ -5,7 +5,6 @@ import pytest
 
 from repro.collectives import (
     reduce_scatter_cost,
-    reduce_scatter_recursive_halving,
     reduce_scatter_ring,
     reduce_scatter_schedule,
     run_schedule,

@@ -6,7 +6,6 @@ no-op schedules.
 """
 
 import numpy as np
-import pytest
 
 from repro.collectives import run_schedule, run_schedules
 from repro.collectives.schedules import merge_schedules

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Regime,
     check_kkt,
     dual_variables,
     kkt_residuals,

@@ -1,6 +1,5 @@
 """Tests (incl. property-based) for the Loomis-Whitney machinery."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 

@@ -1,7 +1,5 @@
 """Tests for memory-dependent bounds and the Section 6.2 crossover."""
 
-import math
-
 import pytest
 
 from repro.core import (

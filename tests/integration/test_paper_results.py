@@ -25,7 +25,6 @@ from repro.core import (
     evaluate_bound,
     square_lower_bound,
 )
-from repro.machine import Machine
 from repro.workloads import (
     FIGURE2_EXPECTED_GRIDS,
     FIGURE2_PROCESSOR_COUNTS,

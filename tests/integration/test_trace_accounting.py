@@ -7,7 +7,6 @@ accounting path drifted, the reproduction's exactness claims would be
 untrustworthy.
 """
 
-import numpy as np
 import pytest
 
 from repro.algorithms import ProcessorGrid, run_alg1, run_cannon, run_summa

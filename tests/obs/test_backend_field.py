@@ -1,8 +1,7 @@
-"""The ``backend`` provenance field on ledger records and bench entries."""
+"""The ``backend`` provenance field on ledger records."""
 
 from repro.analysis.sweep import sweep
 from repro.core.shapes import ProblemShape
-from repro.obs.analytics import BenchEntry
 from repro.obs.ledger import RunRecord
 
 
@@ -34,24 +33,3 @@ class TestRunRecordBackend:
             backend="symbolic",
         )[0]
         assert RunRecord.from_sweep(record).backend == "symbolic"
-
-
-class TestBenchEntryBackend:
-    def test_round_trips_through_dict(self):
-        entry = BenchEntry(
-            name="symbolic:case3", kind="symbolic", wall_clock=0.1,
-            algorithm="alg1", config="grid", shape=(4, 4, 4), P=2,
-            words=16.0, rounds=2, flops=32.0, bound=16.0, attainment=1.0,
-            backend="symbolic",
-        )
-        assert BenchEntry.from_dict(entry.to_dict()).backend == "symbolic"
-
-    def test_legacy_dict_without_backend_reads_as_data(self):
-        entry = BenchEntry(
-            name="sweep:alg1", kind="sweep", wall_clock=0.1,
-            algorithm="alg1", config="grid", shape=(4, 4, 4), P=2,
-            words=16.0, rounds=2, flops=32.0, bound=16.0, attainment=1.0,
-        )
-        payload = entry.to_dict()
-        del payload["backend"]
-        assert BenchEntry.from_dict(payload).backend == "data"

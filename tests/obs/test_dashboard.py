@@ -73,7 +73,7 @@ class TestCollectPayload:
         )
         assert payload["telemetry"] is None
         assert payload["hotspots"] is None
-        assert payload["series"] == []
+        assert payload["bench"] == {"series": [], "layers": []}
         assert payload["meta"]["sources"] == []
 
     def test_payload_is_json_serializable(self, tmp_path):
@@ -83,8 +83,8 @@ class TestCollectPayload:
         ledger.append(make_record())
         payload = collect_payload(ledger_path=ledger.path)
         clone = json.loads(json.dumps(payload))
-        # One record measures all four tracked metrics: 4 samples.
-        assert clone["meta"]["points"] == 4
+        # One record measures all three tracked metrics: 3 samples.
+        assert clone["meta"]["points"] == 3
         assert clone["attainment"]["cells"]
 
     def test_telemetry_jsonl_grouped_by_type(self, tmp_path):
@@ -115,8 +115,10 @@ class TestRenderedDashboard:
 
     def test_renders_all_four_artifact_kinds(self):
         html = render_html(committed_payload())
-        # ledger + bench: a committed series key and the trend block
+        # ledger + bench: a committed series key, a harness workload and
+        # the trend block
         assert "alg1" in html and '"trend"' in html
+        assert '"workload": "sweep-data"' in html
         # telemetry: worker task spans with real pids
         assert '"worker_pid"' in html
         # profile: a known-hot function from the committed folded stacks
@@ -175,3 +177,31 @@ class TestCommittedArtifactsPresent:
 
     def test_at_least_one_bench_report_committed(self):
         assert discover_bench_files()
+
+
+class TestBenchPanels:
+    """End-to-end metrics across PRs and per-layer self times."""
+
+    def test_one_series_per_workload_and_end_to_end_metric(self):
+        with open(os.path.join(repo_root(), "BENCHMARK.json")) as fh:
+            spec = json.load(fh)
+        series = committed_payload()["bench"]["series"]
+        assert {(s["workload"], s["metric"]) for s in series} == {
+            (w["name"], m["name"])
+            for w in spec["workloads"] for m in spec["end_to_end"]}
+        assert all(s["points"][-1]["pr"] >= 31 for s in series)
+
+    def test_layer_table_from_the_traced_runs(self):
+        layers = committed_payload()["bench"]["layers"]
+        assert {run["workload"] for run in layers} == {
+            "largep-symbolic", "sweep-data", "plan-cold", "chaos-recover"}
+        for run in layers:
+            names = {row["layer"] for row in run["rows"]}
+            assert {"op", "machine.network", "obs"} <= names
+            assert sum(row["share"] for row in run["rows"]) == \
+                pytest.approx(1.0)
+
+    def test_panels_reuse_the_one_chart_path(self):
+        html = render_html(committed_payload())
+        assert html.count("function sparkSvg") == 1
+        assert "benchPanel();" in html and "layerPanel();" in html

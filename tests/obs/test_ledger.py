@@ -1,6 +1,7 @@
 """Tests for the experiment ledger (repro.obs.ledger)."""
 
 import json
+import os
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.obs.ledger import (
     environment_fingerprint,
     git_revision,
     merge_ledgers,
+    repo_root,
 )
 from repro.obs.metrics import RankSkew
 
@@ -204,3 +206,7 @@ class TestEnvironment:
         sha = git_revision()
         # This test runs from a git checkout, so a SHA must be found.
         assert sha is None or len(sha) == 40
+
+    def test_repo_root_contains_benchmarks(self):
+        assert os.path.isdir(os.path.join(repo_root(), "benchmarks"))
+        assert os.path.isdir(os.path.join(repo_root(), "src", "repro"))

@@ -1,7 +1,6 @@
 """The committed API index must match a fresh regeneration."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent

@@ -597,136 +597,144 @@ class TestTelemetryFlags:
 
 
 class TestTrendCommand:
-    """Exit contract: 0 = no regression (or no --check), 1 = regression
-    under --check, 2 = usage error."""
+    """Exit contract: 0 = no regression (or no --check), 1 = a ledger
+    regression or an incorrect harness run under --check, 2 = usage
+    error."""
 
-    def _ledger(self, tmp_path, walls, **overrides):
+    def _ledger(self, tmp_path, words, **overrides):
         from repro.obs.ledger import Ledger
 
         from .obs.test_ledger import make_record
 
-        ledger = Ledger(str(tmp_path / "ledger.jsonl"))
-        for i, wall in enumerate(walls):
+        ledger = Ledger(str(tmp_path / "repro_ledger.jsonl"))
+        for i, value in enumerate(words):
             ledger.append(make_record(
-                timestamp=float(i), wall_clock=wall, **overrides))
-        return str(ledger.path)
+                timestamp=float(i), words=value, **overrides))
+        return str(tmp_path)
+
+    def _bench(self, tmp_path, pr, edit=None):
+        from .obs.test_analytics import fixture_lines, write_bench
+
+        lines = fixture_lines()
+        if edit is not None:
+            edit(*lines)
+        write_bench(tmp_path, pr, lines)
+        return str(tmp_path)
 
     def test_committed_trajectory_is_green_under_check(self, capsys):
         # Acceptance: the repository's own artifacts must never trip the
-        # detector (CI runs exactly this in its dashboard step).
+        # gate (CI runs exactly this in its dashboard step).
         assert main(["trend", "--check"]) == 0
         assert "TREND OK" in capsys.readouterr().out
 
     def test_synthetic_2x_regression_fails_check(self, tmp_path, capsys):
-        path = self._ledger(tmp_path, [1.0] * 4 + [2.0] * 3)
-        assert main(["trend", "--ledger", path, "--no-bench",
-                     "--check"]) == 1
+        root = self._ledger(tmp_path, [324.0, 648.0])
+        assert main(["trend", "--root", root, "--check"]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSED" in out and "wall_clock" in out
+        assert "REGRESSED" in out and "words" in out
+
+    def test_newest_words_change_fails_check(self, tmp_path, capsys):
+        # Four records of 100 words, then one of 101.
+        root = self._ledger(tmp_path, [100.0] * 4 + [101.0])
+        assert main(["trend", "--root", root, "--check"]) == 1
+        assert "test 100 -> test 101 (+1.0%)" in capsys.readouterr().out
 
     def test_same_regression_without_check_reports_but_exits_0(
         self, tmp_path, capsys
     ):
-        path = self._ledger(tmp_path, [1.0] * 4 + [2.0] * 3)
-        assert main(["trend", "--ledger", path, "--no-bench"]) == 0
+        root = self._ledger(tmp_path, [324.0, 648.0])
+        assert main(["trend", "--root", root]) == 0
         assert "REGRESSED" in capsys.readouterr().out
 
-    def test_advisory_mode_restores_exit_0(self, tmp_path, capsys):
-        path = self._ledger(tmp_path, [1.0] * 4 + [2.0] * 3)
-        assert main(["trend", "--ledger", path, "--no-bench",
-                     "--check", "--advisory"]) == 0
-        assert "advisory" in capsys.readouterr().err
-
     def test_improvement_never_fails_check(self, tmp_path, capsys):
-        path = self._ledger(tmp_path, [2.0] * 4 + [1.0] * 3)
-        assert main(["trend", "--ledger", path, "--no-bench",
-                     "--check"]) == 0
+        root = self._ledger(tmp_path, [648.0, 324.0])
+        assert main(["trend", "--root", root, "--check"]) == 0
         assert "IMPROVED" in capsys.readouterr().out
 
     def test_metric_filter_limits_the_analysis(self, tmp_path, capsys):
-        path = self._ledger(tmp_path, [1.0] * 4 + [2.0] * 3)
-        assert main(["trend", "--ledger", path, "--no-bench", "--check",
-                     "--metric", "words"]) == 0
+        root = self._ledger(tmp_path, [324.0, 648.0])
+        assert main(["trend", "--root", root, "--check",
+                     "--metric", "attainment"]) == 0
+
+    def test_unknown_metric_is_usage_error(self, tmp_path, capsys):
+        root = self._ledger(tmp_path, [324.0])
+        assert main(["trend", "--root", root, "--metric", "rounds"]) == 2
+        assert "unknown --metric rounds" in capsys.readouterr().err
 
     def test_json_output_round_trips(self, tmp_path, capsys):
-        path = self._ledger(tmp_path, [1.0] * 4 + [2.0] * 3)
-        assert main(["trend", "--ledger", path, "--no-bench",
-                     "--json"]) == 0
+        root = self._ledger(tmp_path, [324.0, 648.0])
+        assert main(["trend", "--root", root, "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is False
-        assert report["counts"]["regressed"] >= 1
+        assert report["counts"]["ledger"]["regressed"] >= 1
 
-    def test_missing_bench_file_is_usage_error(self, tmp_path, capsys):
+    def test_all_lists_each_series_samples(self, tmp_path, capsys):
+        from repro.obs.ledger import Ledger
+
+        from .obs.test_ledger import make_record
+
+        ledger = Ledger(str(tmp_path / "repro_ledger.jsonl"))
+        for i, label in enumerate(["pr1", "pr2", "pr3"]):
+            ledger.append(make_record(timestamp=1000.0 + i, label=label,
+                                      words=324.0 + i))
+        ledger.append(make_record(timestamp=1003.0, shape=(4096, 64, 64), P=4))
+        assert main(["trend", "--root", str(tmp_path), "--all",
+                     "--case", "3D"]) == 0
+        out = capsys.readouterr().out
+        assert "alg1/data case 3D 48x48x48:P64" in out and "1D" not in out
+        assert out.index("pr1          324") < out.index("pr2          325") \
+            < out.index("pr3          326")
+
+    def test_faulty_records_skipped_unless_included(self, tmp_path, capsys):
+        root = self._ledger(tmp_path, [324.0],
+                            faults={"injected": 1, "retries": 1})
+        assert main(["trend", "--root", root]) == 0
+        assert "trend: 0 ledger trajectories" in capsys.readouterr().out
+        assert main(["trend", "--root", root, "--include-faulty"]) == 0
+        assert "trend: 3 ledger trajectories" in capsys.readouterr().out
+
+    def test_pr22_step_reported_improved_but_not_gated(
+        self, tmp_path, capsys
+    ):
+        def ops(value):
+            return lambda _d, result, _s: result["metrics"]["ops_per_s"] \
+                .update(value=value)
+
+        self._bench(tmp_path, 21, ops(92.4))
+        root = self._bench(tmp_path, 22, ops(158.2))
+        assert main(["trend", "--root", root, "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "[IMPROVED ] ops_per_s  sweep-data" in out
+        assert "pr21 92.4 -> pr22 158.2 (+71.2%, bound 25%, not gated)" in out
+
+    def test_incorrect_harness_run_fails_check(self, tmp_path, capsys):
+        def incorrect(_describe, result, _summary):
+            result.update(correct=False, failed=1)
+
+        root = self._bench(tmp_path, 31, incorrect)
+        assert main(["trend", "--root", root]) == 0
+        assert main(["trend", "--root", root, "--check"]) == 1
+        out = capsys.readouterr().out
+        assert "FAILED RUN BENCH_pr31.jsonl: sweep-data" in out
+
+    def test_describe_line_without_result_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        from .obs.test_analytics import fixture_lines, write_bench
+
+        write_bench(tmp_path, 31, fixture_lines()[:1])
         for command in ("trend", "dashboard"):
-            assert main([command, "--bench",
-                         str(tmp_path / "BENCH_none.json")]) == 2
-            assert "no such BENCH" in capsys.readouterr().err
+            assert main([command, "--root", str(tmp_path)]) == 2
+            assert "no result line" in capsys.readouterr().err
 
-    def test_bad_window_is_usage_error(self, capsys):
-        assert main(["trend", "--window", "0"]) == 2
-        assert "--window" in capsys.readouterr().err
+    def test_missing_root_is_usage_error(self, tmp_path, capsys):
+        assert main(["trend", "--root", str(tmp_path / "none")]) == 2
+        assert "not a directory" in capsys.readouterr().err
 
     def test_malformed_ledger_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "ledger.jsonl"
-        bad.write_text("{not json\n")
-        assert main(["trend", "--ledger", str(bad), "--no-bench"]) == 2
+        (tmp_path / "repro_ledger.jsonl").write_text("{not json\n")
+        assert main(["trend", "--root", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
-
-
-class TestLedgerTrajectoryCommand:
-    def _ledger(self, tmp_path):
-        from repro.obs.ledger import Ledger
-
-        from .obs.test_ledger import make_record
-
-        ledger = Ledger(str(tmp_path / "ledger.jsonl"))
-        for i in range(3):
-            ledger.append(make_record(timestamp=1000.0 + i,
-                                      wall_clock=0.1 * (i + 1)))
-        ledger.append(make_record(
-            timestamp=1003.0, shape=(4096, 64, 64), P=4))
-        return str(ledger.path)
-
-    def test_prints_time_ordered_blocks(self, tmp_path, capsys):
-        path = self._ledger(tmp_path)
-        assert main(["ledger", "trajectory", "wall_clock",
-                     "--path", path]) == 0
-        out = capsys.readouterr().out
-        assert "alg1/data case 3D 48x48x48:P64" in out
-        assert "3 sample(s)" in out
-        assert out.index("0.1") < out.index("0.2") < out.index("0.3")
-
-    def test_filters_by_case(self, tmp_path, capsys):
-        path = self._ledger(tmp_path)
-        assert main(["ledger", "trajectory", "attainment",
-                     "--path", path, "--case", "1D"]) == 0
-        out = capsys.readouterr().out
-        assert "1D" in out and "3D" not in out
-
-    def test_filters_by_algorithm_with_no_match(self, tmp_path, capsys):
-        path = self._ledger(tmp_path)
-        assert main(["ledger", "trajectory", "words", "--path", path,
-                     "--algorithm", "nope"]) == 0
-        assert "no words samples" in capsys.readouterr().out
-
-    def test_unknown_metric_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["ledger", "trajectory", "rounds"])
-
-    def test_faulty_records_skipped_with_notice(self, tmp_path, capsys):
-        from repro.obs.ledger import Ledger
-
-        from .obs.test_ledger import make_record
-
-        ledger = Ledger(str(tmp_path / "ledger.jsonl"))
-        ledger.append(make_record(faults={"injected": 1}))
-        assert main(["ledger", "trajectory", "words",
-                     "--path", str(ledger.path)]) == 0
-        captured = capsys.readouterr()
-        assert "skipped 1 fault-injected" in captured.err
-        assert main(["ledger", "trajectory", "words", "--path",
-                     str(ledger.path), "--include-faulty"]) == 0
-        assert "1 sample(s)" in capsys.readouterr().out
 
 
 class TestDashboardCommand:
@@ -744,18 +752,14 @@ class TestDashboardCommand:
     ):
         out = tmp_path / "dash.html"
         assert main(["dashboard", "--out", str(out),
-                     "--ledger", str(tmp_path / "none.jsonl"),
-                     "--no-bench",
-                     "--telemetry", str(tmp_path / "none.tele"),
-                     "--profile", str(tmp_path / "none.folded")]) == 0
-        assert "0 samples" in capsys.readouterr().out
+                     "--root", str(tmp_path)]) == 0
+        assert "0 samples and 0 harness runs" in capsys.readouterr().out
         assert out.exists()
 
     def test_malformed_ledger_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "ledger.jsonl"
-        bad.write_text("{not json\n")
+        (tmp_path / "repro_ledger.jsonl").write_text("{not json\n")
         assert main(["dashboard", "--out", str(tmp_path / "d.html"),
-                     "--ledger", str(bad), "--no-bench"]) == 2
+                     "--root", str(tmp_path)]) == 2
         assert "cannot read" in capsys.readouterr().err
 
 
